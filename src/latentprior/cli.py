@@ -21,7 +21,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import __version__
@@ -34,9 +34,11 @@ from .correction import (
 )
 from .errors import InputFormatError, NumericalFailure
 from .evaluation import (
+    DEFAULT_LAMBDA_GRID,
     InterpolationConfig,
     TradeoffConfig,
     condition_filename,
+    condition_label,
     curve_csv,
     fid_tradeoff,
     interpolation_experiment,
@@ -234,14 +236,8 @@ def replay_manifest(manifest_path, out_dir, threads: int = 1) -> None:
 
 
 def _run_init_gan(config, inputs, out: Path, threads):
-    dims = GeneratorDims(
-        latent_dim=config["latent-dim"],
-        hidden_dim=config["hidden-dim"],
-        mapping_layers=config["mapping-layers"],
-        scales=config["scales"],
-        channels=config["channels"],
-        image_size=config["image-size"],
-    )
+    dims = GeneratorDims(**{f.name: config[f.name.replace("_", "-")]
+                            for f in fields(GeneratorDims)})
     bundle = init_generator(config["seed"], dims)
     save_bundle(bundle, out / "bundle.json")
     return ["bundle.json"], {}
@@ -349,7 +345,7 @@ def _run_lambda_sweep(config, inputs, out: Path, threads):
             (out / cname).write_text(curve_csv(report, c))
             outputs.append(cname)
         for space in base.spaces:
-            label = f"{space}:lambda={lam:g}"
+            label = condition_label(space, lam)
             summary[space]["endpoint"].append(report.endpoint_error(label))
             summary[space]["midpoint"].append(report.midpoint_error(label))
     sweep = {"kind": "lambda-sweep", "grid": list(grid),
@@ -434,12 +430,8 @@ _register(Command(
     name="init-gan",
     flags=(
         _seed_flag(),
-        Flag("latent-dim", "int", 32),
-        Flag("hidden-dim", "int", 512),
-        Flag("mapping-layers", "int", 3),
-        Flag("scales", "int", 4),
-        Flag("channels", "int", 8),
-        Flag("image-size", "int", 16),
+        *(Flag(f.name.replace("_", "-"), "int", f.default)
+          for f in fields(GeneratorDims)),
     ),
     required_inputs=(),
     optional_inputs=(),
@@ -463,13 +455,15 @@ _register(Command(
     name="invert",
     flags=(
         _seed_flag(),
-        Flag("space", "str", SPACE_W, choices=(SPACE_W, SPACE_WPLUS)),
-        Flag("lambda", "float", 1e-4, help="prior weight"),
-        Flag("learning-rate", "float", None),
-        Flag("iterations", "int", None),
-        Flag("loss", "str", LOSS_PIXEL, choices=(LOSS_PIXEL, LOSS_PROXY)),
-        Flag("noise-initial-std", "float", 0.05),
-        Flag("noise-ramp-fraction", "float", 0.75),
+        Flag("space", "str", InversionConfig.target_space,
+             choices=(SPACE_W, SPACE_WPLUS)),
+        Flag("lambda", "float", InversionConfig.prior_weight, help="prior weight"),
+        Flag("learning-rate", "float", InversionConfig.learning_rate),
+        Flag("iterations", "int", InversionConfig.iterations),
+        Flag("loss", "str", InversionConfig.loss_kind,
+             choices=(LOSS_PIXEL, LOSS_PROXY)),
+        Flag("noise-initial-std", "float", NoiseRamp.initial_std_factor),
+        Flag("noise-ramp-fraction", "float", NoiseRamp.ramp_fraction),
     ),
     required_inputs=("bundle", "model", "target"),
     optional_inputs=(),
@@ -480,10 +474,10 @@ _register(Command(
 _register(Command(
     name="correct",
     flags=(
-        Flag("method", "str", METHOD_COMPRESS,
+        Flag("method", "str", CorrectionConfig.method,
              choices=(METHOD_TRUNCATE, METHOD_COMPRESS)),
-        Flag("psi", "float", 0.7),
-        Flag("tau", "float", 0.5),
+        Flag("psi", "float", CorrectionConfig.psi),
+        Flag("tau", "float", CorrectionConfig.tau),
     ),
     required_inputs=("model", "latents"),
     optional_inputs=(),
@@ -493,21 +487,24 @@ _register(Command(
 
 _INTERP_FLAGS = (
     _seed_flag(),
-    Flag("spaces", "strs", [SPACE_W, SPACE_WPLUS],
+    Flag("spaces", "strs", InterpolationConfig.spaces,
          choices=(SPACE_W, SPACE_WPLUS)),
-    Flag("images", "int", 20, help="target pool size"),
-    Flag("pairs", "int", 40),
-    Flag("iters", "int", 3000, help="inversion iterations per target"),
-    Flag("learning-rate", "float", 0.02),
-    Flag("loss", "str", LOSS_PIXEL, choices=(LOSS_PIXEL, LOSS_PROXY)),
-    Flag("oracle-init", "bool", False,
+    Flag("images", "int", InterpolationConfig.n_images, help="target pool size"),
+    Flag("pairs", "int", InterpolationConfig.n_pairs),
+    Flag("iters", "int", InterpolationConfig.iterations,
+         help="inversion iterations per target"),
+    Flag("learning-rate", "float", InterpolationConfig.learning_rate),
+    Flag("loss", "str", InterpolationConfig.loss_kind,
+         choices=(LOSS_PIXEL, LOSS_PROXY)),
+    Flag("oracle-init", "bool", InterpolationConfig.oracle_init,
          help="start each inversion at the true latent"),
 )
 
 _register(Command(
     name="experiment interpolation",
     flags=_INTERP_FLAGS + (
-        Flag("lambdas", "floats", [0.0, 1e-4], help="prior weights to compare"),
+        Flag("lambdas", "floats", InterpolationConfig.prior_weights,
+             help="prior weights to compare"),
     ),
     required_inputs=("bundle", "model"),
     optional_inputs=("target-bundle",),
@@ -519,7 +516,7 @@ _register(Command(
     name="experiment lambda-sweep",
     flags=tuple(f for f in _INTERP_FLAGS if f.name != "spaces") + (
         Flag("spaces", "strs", [SPACE_WPLUS], choices=(SPACE_W, SPACE_WPLUS)),
-        Flag("grid", "floats", [0.0, 1e-5, 1e-4, 1e-3]),
+        Flag("grid", "floats", DEFAULT_LAMBDA_GRID),
     ),
     required_inputs=("bundle", "model"),
     optional_inputs=(),
@@ -531,13 +528,13 @@ _register(Command(
     name="experiment fid-tradeoff",
     flags=(
         _seed_flag(),
-        Flag("psis", "floats", [0.85, 0.7, 0.55]),
-        Flag("samples", "int", 2048),
-        Flag("identity-samples", "int", 512),
-        Flag("tau-lo", "float", 0.05),
-        Flag("tau-hi", "float", 8.0),
-        Flag("match-tol", "float", 0.05),
-        Flag("max-bisect", "int", 40),
+        Flag("psis", "floats", TradeoffConfig.psis),
+        Flag("samples", "int", TradeoffConfig.n_samples),
+        Flag("identity-samples", "int", TradeoffConfig.n_identity),
+        Flag("tau-lo", "float", TradeoffConfig.tau_lo),
+        Flag("tau-hi", "float", TradeoffConfig.tau_hi),
+        Flag("match-tol", "float", TradeoffConfig.match_tol),
+        Flag("max-bisect", "int", TradeoffConfig.max_bisect),
     ),
     required_inputs=("bundle", "model"),
     optional_inputs=(),

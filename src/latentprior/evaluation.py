@@ -5,7 +5,8 @@ Four experiments, all deterministic given a seed:
 - interpolation_experiment: invert a pool of generated targets with and
   without the prior, then compare images synthesized along interpolations
   of the estimated latents against the ground-truth interpolations.
-- lambda_sweep: the interpolation experiment repeated over prior weights.
+- lambda_sweep: one interpolation experiment over a grid of prior weights,
+  split into one report per weight.
 - fid_tradeoff: match truncation and compression operating points by a
   Frechet feature distance, then compare identity preservation and
   per-pixel diversity at the matched points.
@@ -26,7 +27,6 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 from scipy.stats import norm
 
-from . import features
 from .correction import compress_rows, compression_threshold, to_pc, truncate_rows
 from .errors import NumericalFailure
 from .features import FeatureNet, embed, init_feature_net
@@ -46,6 +46,7 @@ from .inversion import (
     InversionConfig,
     NoiseRamp,
     invert,
+    reconstruction_loss,
 )
 from .seeding import (
     STREAM_PAIRS,
@@ -210,16 +211,6 @@ def latent_error(estimate, truth) -> float:
     return float(np.linalg.norm((a - b).ravel()))
 
 
-def _batch_errors(images_a: np.ndarray, images_b: np.ndarray, loss_kind: str) -> np.ndarray:
-    """Row-wise reconstruction_loss over two equally shaped image batches."""
-    if loss_kind == LOSS_PIXEL:
-        d = images_a - images_b
-        return np.mean(d * d, axis=1)
-    net = features.proxy_net(images_a.shape[1])
-    d = embed(net, images_a) - embed(net, images_b)
-    return np.mean(d * d, axis=1)
-
-
 def _ground_truth(bundle: GeneratorBundle, config: InterpolationConfig,
                   space_idx: int, space: str):
     """Sample true latents and their images for one condition's target pool.
@@ -338,8 +329,8 @@ def interpolation_experiment(bundle: GeneratorBundle, model: GaussianModel,
                     bundle,
                     (1 - t) * est_stacks[pairs[:, 0]] + t * est_stacks[pairs[:, 1]],
                 )
-                pair_errors[:, ti] = _batch_errors(est_imgs, true_imgs[ti],
-                                                   config.loss_kind)
+                pair_errors[:, ti], _ = reconstruction_loss(
+                    est_imgs, true_imgs[ti], config.loss_kind)
             label = condition_label(space, weight)
             conditions.append(label)
             records[label] = ConditionRecord(
@@ -364,18 +355,33 @@ def lambda_sweep(bundle: GeneratorBundle, model: GaussianModel,
                  config: InterpolationConfig,
                  lambda_grid=DEFAULT_LAMBDA_GRID,
                  threads: int = 1) -> dict[float, ExperimentReport]:
-    """One interpolation experiment per prior weight, identical seeds."""
-    grid = tuple(float(lam) for lam in lambda_grid)
+    """The interpolation experiment over a grid of prior weights.
+
+    One experiment runs the whole grid, so the weights share one target
+    pool and one set of true interpolations. Its records are split into one
+    report per weight, equal to that of a single-weight experiment (config
+    included).
+    """
+    grid = tuple(dict.fromkeys(float(lam) for lam in lambda_grid))
     if not grid:
         raise ValueError("lambda grid must be nonempty")
     if any(lam < 0 for lam in grid):
         raise ValueError("lambda grid values must be nonnegative")
-    return {
-        lam: interpolation_experiment(bundle, model,
-                                      replace(config, prior_weights=(lam,)),
-                                      threads=threads)
-        for lam in grid
-    }
+    if len({condition_label("", lam) for lam in grid}) != len(grid):
+        raise ValueError("lambda grid values must differ in their condition labels")
+    full = interpolation_experiment(bundle, model,
+                                    replace(config, prior_weights=grid),
+                                    threads=threads)
+    reports = {}
+    for lam in grid:
+        conditions = tuple(condition_label(space, lam) for space in config.spaces)
+        reports[lam] = ExperimentReport(
+            t_grid=full.t_grid,
+            conditions=conditions,
+            records={c: full.records[c] for c in conditions},
+            config=asdict(replace(config, prior_weights=(lam,))),
+        )
+    return reports
 
 
 # --- feature-space metrics --------------------------------------------------

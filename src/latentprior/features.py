@@ -56,6 +56,13 @@ def proxy_net(n_in: int) -> FeatureNet:
     return init_feature_net(PROXY_SEED, n_in)
 
 
+def _preactivations(net: FeatureNet, images: np.ndarray):
+    """Hidden and output pre-activations of an (n, n_in) batch."""
+    h_pre = images @ net.w1.T + net.b1
+    h = np.where(h_pre >= 0, h_pre, SLOPE * h_pre)
+    return h_pre, h @ net.w2.T + net.b2
+
+
 def embed(net: FeatureNet, images) -> np.ndarray:
     """Embed (n, n_in) images (or one flat image) into feature space."""
     arr = np.asarray(images, dtype=np.float64)
@@ -64,32 +71,30 @@ def embed(net: FeatureNet, images) -> np.ndarray:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != net.n_in:
         raise ValueError(f"expected (n, {net.n_in}) images, got {arr.shape}")
-    h_pre = arr @ net.w1.T + net.b1
-    h = np.where(h_pre >= 0, h_pre, SLOPE * h_pre)
-    f_pre = h @ net.w2.T + net.b2
+    _, f_pre = _preactivations(net, arr)
     f = np.where(f_pre >= 0, f_pre, SLOPE * f_pre)
     return f[0] if single else f
 
 
-def embed_vjp(net: FeatureNet, image, feature_cotangent) -> np.ndarray:
-    """Gradient of <features, cotangent> with respect to one flat image."""
-    x = np.asarray(image, dtype=np.float64)
-    cot = np.asarray(feature_cotangent, dtype=np.float64)
-    if x.shape != (net.n_in,) or cot.shape != (net.n_out,):
-        raise ValueError("image / cotangent shape mismatch")
-    h_pre = net.w1 @ x + net.b1
-    h = np.where(h_pre >= 0, h_pre, SLOPE * h_pre)
-    f_pre = net.w2 @ h + net.b2
+def embed_vjp(net: FeatureNet, images, feature_cotangents) -> np.ndarray:
+    """Row-wise gradient of <embed(images), cotangents> w.r.t. the images.
+
+    ``images`` is (n, n_in) and ``feature_cotangents`` (n, n_out); row i of
+    the (n, n_in) result pulls cotangent row i back through image row i.
+    """
+    x = np.asarray(images, dtype=np.float64)
+    cot = np.asarray(feature_cotangents, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != net.n_in or cot.shape != (x.shape[0], net.n_out):
+        raise ValueError(
+            f"image / cotangent shape mismatch: {x.shape} vs {cot.shape}"
+        )
+    h_pre, f_pre = _preactivations(net, x)
     g_fpre = cot * np.where(f_pre >= 0, 1.0, SLOPE)
-    g_h = g_fpre @ net.w2
-    g_hpre = g_h * np.where(h_pre >= 0, 1.0, SLOPE)
+    g_hpre = (g_fpre @ net.w2) * np.where(h_pre >= 0, 1.0, SLOPE)
     return g_hpre @ net.w1
 
 
 def min_preactivation_gap(net: FeatureNet, image) -> float:
     """Smallest |pre-activation| for one image; see the generator twin."""
-    x = np.asarray(image, dtype=np.float64)
-    h_pre = net.w1 @ x + net.b1
-    h = np.where(h_pre >= 0, h_pre, SLOPE * h_pre)
-    f_pre = net.w2 @ h + net.b2
+    h_pre, f_pre = _preactivations(net, np.asarray(image, dtype=np.float64)[None])
     return float(min(np.min(np.abs(h_pre)), np.min(np.abs(f_pre))))

@@ -120,43 +120,23 @@ def fit_gaussian(samples_v, samples_w) -> GaussianModel:
     )
 
 
-def _check_vector(model: GaussianModel, v) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.shape != (model.dim,):
-        raise ValueError(f"expected shape ({model.dim},), got {arr.shape}")
-    return arr
-
-
-def mahalanobis_sq(model: GaussianModel, v) -> float:
-    """Energy (v - mu)^T (cov + eps I)^{-1} (v - mu), via triangular solves."""
-    arr = _check_vector(model, v)
-    y = solve_triangular(model.chol, arr - model.mean_v, lower=True)
-    return float(y @ y)
+def _whiten(model: GaussianModel, vs) -> np.ndarray:
+    """L^{-1} (v - mu) for every row of an (n, d) array, as (d, n) columns."""
+    arr = np.asarray(vs, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] != model.dim:
+        raise ValueError(f"expected shape (n, {model.dim}), got {arr.shape}")
+    return solve_triangular(model.chol, (arr - model.mean_v).T, lower=True)
 
 
 def mahalanobis_sq_batch(model: GaussianModel, vs) -> np.ndarray:
-    """Row-wise mahalanobis_sq for an (n, d) array. Returns (n,)."""
-    arr = np.asarray(vs, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != model.dim:
-        raise ValueError(f"expected shape (n, {model.dim}), got {arr.shape}")
-    y = solve_triangular(model.chol, (arr - model.mean_v).T, lower=True)
+    """Row-wise energy (v - mu)^T (cov + eps I)^{-1} (v - mu). Returns (n,)."""
+    y = _whiten(model, vs)
     return np.einsum("ij,ij->j", y, y)
 
 
-def mahalanobis_sq_grad(model: GaussianModel, v) -> np.ndarray:
-    """Gradient 2 (cov + eps I)^{-1} (v - mu) of mahalanobis_sq."""
-    arr = _check_vector(model, v)
-    y = solve_triangular(model.chol, arr - model.mean_v, lower=True)
-    return 2.0 * solve_triangular(model.chol.T, y, lower=False)
-
-
 def mahalanobis_sq_grad_batch(model: GaussianModel, vs) -> np.ndarray:
-    """Row-wise mahalanobis_sq_grad for an (n, d) array. Returns (n, d)."""
-    arr = np.asarray(vs, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != model.dim:
-        raise ValueError(f"expected shape (n, {model.dim}), got {arr.shape}")
-    y = solve_triangular(model.chol, (arr - model.mean_v).T, lower=True)
-    return 2.0 * solve_triangular(model.chol.T, y, lower=False).T
+    """Row-wise gradient 2 (cov + eps I)^{-1} (v - mu). Returns (n, d)."""
+    return 2.0 * solve_triangular(model.chol.T, _whiten(model, vs), lower=False).T
 
 
 def sample_latents(model: GaussianModel, seed, n: int) -> np.ndarray:
@@ -260,20 +240,24 @@ def model_from_json(text: str) -> GaussianModel:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"invalid model JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputFormatError("model JSON must hold an object")
     missing = [k for k in _MODEL_KEYS if k not in doc]
     if missing:
         raise InputFormatError(f"model JSON missing keys: {missing}")
-    d = int(doc["dim"])
+    # np.linalg.LinAlgError (covariance not positive definite) is a ValueError
     try:
+        d = int(doc["dim"])
         mean_v = np.array(doc["mean_v"], dtype=np.float64).reshape(d)
         mean_w = np.array(doc["mean_w"], dtype=np.float64).reshape(d)
         cov_v = np.array(doc["cov_v"], dtype=np.float64).reshape(d, d)
         eigvals = np.array(doc["eigvals"], dtype=np.float64).reshape(d)
         eigvecs = np.array(doc["eigvecs"], dtype=np.float64).reshape(d, d)
+        eps = float(doc["epsilon"])
+        sample_count = int(doc["sample_count"])
+        chol = np.linalg.cholesky(cov_v + eps * np.eye(d))
     except (ValueError, TypeError) as exc:
-        raise InputFormatError(f"malformed model arrays: {exc}") from exc
-    eps = float(doc["epsilon"])
-    chol = np.linalg.cholesky(cov_v + eps * np.eye(d))
+        raise InputFormatError(f"malformed model: {exc}") from exc
     return GaussianModel(
         dim=d,
         mean_v=mean_v,
@@ -282,7 +266,7 @@ def model_from_json(text: str) -> GaussianModel:
         eigvals=eigvals,
         chol=chol,
         mean_w=mean_w,
-        sample_count=int(doc["sample_count"]),
+        sample_count=sample_count,
         epsilon=eps,
     )
 

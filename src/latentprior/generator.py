@@ -15,8 +15,11 @@ Two stages, mirroring the usual style-based pipeline at desk scale:
   There is no output nonlinearity.
 
 Everything is regenerated bit-exactly from (seed, dims); weights are never
-serialized. Forward and vector-Jacobian-product evaluation are pure
-functions, batched internally over samples.
+serialized. All evaluation is batched over (n, s, d) style stacks:
+synthesize_batch runs the forward pass, and synthesize_vjp_batch runs that
+same pass once, evaluates a caller's row-wise loss on the images it made,
+and pulls the loss gradient back through the cached pass, so one
+optimization step costs one forward and one backward pass.
 """
 
 from __future__ import annotations
@@ -177,16 +180,6 @@ def map_latents(bundle: GeneratorBundle, zs) -> np.ndarray:
     return a
 
 
-def map_latent(bundle: GeneratorBundle, z) -> np.ndarray:
-    """Map one input latent z to a style w."""
-    arr = np.asarray(z, dtype=np.float64)
-    if arr.shape != (bundle.dims.latent_dim,):
-        raise ValueError(
-            f"expected shape ({bundle.dims.latent_dim},), got {arr.shape}"
-        )
-    return map_latents(bundle, arr[None, :])[0]
-
-
 def _check_stacks(bundle: GeneratorBundle, stacks) -> np.ndarray:
     arr = np.asarray(stacks, dtype=np.float64)
     s, d = bundle.dims.scales, bundle.dims.latent_dim
@@ -240,24 +233,28 @@ def synthesize(bundle: GeneratorBundle, stack) -> np.ndarray:
     return synthesize_batch(bundle, arr[None])[0]
 
 
-def synthesize_vjp_batch(bundle: GeneratorBundle, stacks, cotangents) -> np.ndarray:
-    """Exact reverse-mode gradients of synthesize_batch w.r.t. the styles.
+def synthesize_vjp_batch(bundle: GeneratorBundle, stacks, loss_fn):
+    """Images, per-row losses and exact style gradients from one forward pass.
 
-    ``cotangents`` has shape (n, pixels); the result has the stacks' shape.
-    The leaky-ReLU subgradient at exactly 0 uses the positive branch.
+    ``loss_fn(images) -> (losses, cotangents)`` is evaluated on the (n, pixels)
+    images the pass produced; the cotangents (dloss/dimages, shape (n, pixels))
+    are pulled back through the cached pass. Returns (images, losses,
+    style_grads), the gradients having the stacks' shape. The leaky-ReLU
+    subgradient at exactly 0 uses the positive branch.
     """
     arr = _check_stacks(bundle, stacks)
     syn = bundle.synthesis
     dims = bundle.dims
     n = arr.shape[0]
     c = dims.channels
+
+    images, cache = _forward(bundle, arr, keep_cache=True)
+    losses, cotangents = loss_fn(images)
     cot = np.asarray(cotangents, dtype=np.float64)
     if cot.shape != (n, dims.pixels):
         raise ValueError(
             f"expected cotangents of shape ({n}, {dims.pixels}), got {cot.shape}"
         )
-
-    _, cache = _forward(bundle, arr, keep_cache=True)
     hw = dims.image_size
     g = cot.reshape(n, hw, hw, 3) @ syn.out_proj
     g_stacks = np.zeros_like(arr)
@@ -271,17 +268,7 @@ def synthesize_vjp_batch(bundle: GeneratorBundle, stacks, cotangents) -> np.ndar
             gu = gm * scale[:, None, None, :]
             half = u.shape[1] // 2
             g = gu.reshape(n, half, 2, half, 2, c).sum(axis=(2, 4))
-    return g_stacks
-
-
-def synthesize_vjp(bundle: GeneratorBundle, stack, image_cotangent) -> np.ndarray:
-    """Single-stack VJP: returns an (s, d) gradient."""
-    arr = np.asarray(stack, dtype=np.float64)
-    s, d = bundle.dims.scales, bundle.dims.latent_dim
-    if arr.shape != (s, d):
-        raise ValueError(f"expected stack of shape ({s}, {d}), got {arr.shape}")
-    cot = np.asarray(image_cotangent, dtype=np.float64)
-    return synthesize_vjp_batch(bundle, arr[None], cot[None])[0]
+    return images, losses, g_stacks
 
 
 def min_preactivation_gap(bundle: GeneratorBundle, stack) -> float:

@@ -1,13 +1,14 @@
 """Latent inversion: recover the style that generated a target image.
 
-Minimizes reconstruction_loss(target, G(latent)) + weight * prior(latent)
+Minimizes reconstruction_loss(G(latent), target) + weight * prior(latent)
 over W (one style, applied at every scale) or W+ (one style per scale)
-with ADAM. The prior is the Gaussian energy in the corrected space V,
-evaluated per style and summed over the scales of a stack. Optimization
-starts at the empirical W mean and, following the usual projector recipe,
-perturbs the latent with ramped-down Gaussian noise during the early
-iterations: the noise enters the forward evaluation only, the update is
-applied to the clean latent.
+with ADAM. Each iteration makes one synthesize_vjp_batch call: one forward
+pass, whose image feeds the loss, then the backward pass. The prior is the
+Gaussian energy in the corrected space V, evaluated per style and summed
+over the scales of a stack. Optimization starts at the empirical W mean
+and, following the usual projector recipe, perturbs the latent with
+ramped-down Gaussian noise during the early iterations: the noise enters
+the forward evaluation only, the update is applied to the clean latent.
 """
 
 from __future__ import annotations
@@ -112,28 +113,28 @@ class InversionResult:
     iterations_run: int
 
 
-def reconstruction_loss(image_a, image_b, loss_kind: str):
-    """Return (loss, gradient with respect to image_a).
+def reconstruction_loss(images, targets, loss_kind: str):
+    """Row-wise losses and gradients for two (n, pixels) image batches.
 
-    pixel-mse is the mean squared pixel difference. The proxy loss is the
-    mean squared difference of fixed random-network features, a stand-in
-    for a perceptual distance.
+    Returns (losses, grads): losses[i] compares images[i] with targets[i],
+    and grads[i] is its gradient with respect to images[i], so the pair
+    plugs straight into synthesize_vjp_batch as its ``loss_fn``. pixel-mse
+    is the mean squared pixel difference. The proxy loss is the mean
+    squared difference of fixed random-network features, a stand-in for a
+    perceptual distance.
     """
-    a = np.asarray(image_a, dtype=np.float64)
-    b = np.asarray(image_b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"image shape mismatch: {a.shape} vs {b.shape}")
+    a = np.asarray(images, dtype=np.float64)
+    b = np.asarray(targets, dtype=np.float64)
+    if a.ndim != 2 or a.shape != b.shape:
+        raise ValueError(f"image batch shape mismatch: {a.shape} vs {b.shape}")
     if loss_kind == LOSS_PIXEL:
         diff = a - b
-        return float(np.mean(diff * diff)), 2.0 * diff / diff.size
+        return np.mean(diff * diff, axis=1), 2.0 * diff / diff.shape[1]
     if loss_kind == LOSS_PROXY:
-        net = features.proxy_net(a.size)
-        fa = features.embed(net, a)
-        fb = features.embed(net, b)
-        df = fa - fb
-        loss = float(np.mean(df * df))
-        grad = features.embed_vjp(net, a, 2.0 * df / df.size)
-        return loss, grad
+        net = features.proxy_net(a.shape[1])
+        df = features.embed(net, a) - features.embed(net, b)
+        grads = features.embed_vjp(net, a, 2.0 * df / df.shape[1])
+        return np.mean(df * df, axis=1), grads
     raise ValueError(f"unknown loss_kind {loss_kind!r}")
 
 
@@ -181,10 +182,12 @@ def _eval_objective(target, bundle, model, config, latent):
     """Loss, prior energy, and total gradient at one latent (no noise)."""
     wplus = config.target_space == SPACE_WPLUS
     stacks = _as_stacks(latent, wplus, bundle.dims.scales)
-    image = synthesize_batch(bundle, stacks)[0]
-    loss, g_image = reconstruction_loss(image, target, config.loss_kind)
-    g_stack = synthesize_vjp_batch(bundle, stacks, g_image[None])[0]
-    grad = g_stack if wplus else g_stack.sum(axis=0)
+    _, losses, g_stacks = synthesize_vjp_batch(
+        bundle, stacks,
+        lambda images: reconstruction_loss(images, target[None], config.loss_kind),
+    )
+    loss = float(losses[0])
+    grad = g_stacks[0] if wplus else g_stacks[0].sum(axis=0)
 
     prior = 0.0
     if config.prior_weight > 0:
@@ -271,14 +274,13 @@ def invert(target_image, bundle: GeneratorBundle, model: GaussianModel,
                                  config.adam.beta2, config.adam.eps)
         latent = latent + delta
 
-    stacks = _as_stacks(latent, wplus, bundle.dims.scales)
-    final_image = synthesize_batch(bundle, stacks)[0]
-    final_error, _ = reconstruction_loss(final_image, target, config.loss_kind)
+    final_image = synthesize_batch(bundle, _as_stacks(latent, wplus, bundle.dims.scales))
+    final_errors, _ = reconstruction_loss(final_image, target[None], config.loss_kind)
     return InversionResult(
         latent=latent,
         loss_trace=loss_trace,
         prior_trace=prior_trace,
-        final_image_error=final_error,
+        final_image_error=float(final_errors[0]),
         iterations_run=iterations,
     )
 

@@ -132,6 +132,25 @@ class TestExitCodes:
         bad.write_text("{nope")
         assert run("fit-prior", "--bundle", bad, "--out", tmp_path / "o") == 3
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: {**doc, "cov_v": [-x for x in doc["cov_v"]]},
+        lambda doc: {**doc, "dim": "abc"},
+        lambda doc: {**doc, "epsilon": "abc"},
+        lambda doc: {**doc, "sample_count": "abc"},
+        lambda doc: 5,
+    ], ids=["cov-not-positive-definite", "dim", "epsilon", "sample-count",
+            "not-an-object"])
+    def test_malformed_model_is_input_error(self, ws, tmp_path, capsys, corrupt):
+        doc = corrupt(json.loads(ws["model"].read_text()))
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = run("correct", "--model", bad, "--latents", ws["latents"],
+                 "--out", tmp_path / "o")
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("input error: ") and err.count("\n") == 1
+
     def test_wrong_size_target_is_input_error(self, ws, tmp_path):
         short = tmp_path / "short.f64"
         short.write_bytes(b"\x00" * 80)

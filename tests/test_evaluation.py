@@ -241,11 +241,14 @@ class TestExperimentArguments:
 
 class TestLambdaSweep:
     def test_single_weight_equals_plain_experiment(self, bundle, fitted_model):
-        cfg = quiet_config()
-        sweep = lambda_sweep(bundle, fitted_model, cfg, lambda_grid=(0.0,))
-        assert list(sweep) == [0.0]
-        plain = interpolation_experiment(bundle, fitted_model, cfg)
-        assert report_to_json(sweep[0.0]) == report_to_json(plain)
+        grid = (0.0, 1e-4)
+        sweep = lambda_sweep(bundle, fitted_model, quiet_config(),
+                             lambda_grid=grid)
+        assert list(sweep) == list(grid)
+        for lam in grid:
+            plain = interpolation_experiment(
+                bundle, fitted_model, quiet_config(prior_weights=(lam,)))
+            assert report_to_json(sweep[lam]) == report_to_json(plain)
 
     def test_one_condition_per_weight(self, bundle, fitted_model):
         cfg = quiet_config(n_images=2, n_pairs=1, iterations=20)
@@ -260,6 +263,10 @@ class TestLambdaSweep:
         with pytest.raises(ValueError, match="nonnegative"):
             lambda_sweep(bundle, fitted_model, quiet_config(),
                          lambda_grid=(-1e-4,))
+        # distinct weights that print alike would share a condition label
+        with pytest.raises(ValueError, match="labels"):
+            lambda_sweep(bundle, fitted_model, quiet_config(),
+                         lambda_grid=(1e-5, 1.000001e-5))
 
 
 @pytest.fixture(scope="module")

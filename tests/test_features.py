@@ -57,7 +57,7 @@ class TestVjp:
         if features.min_preactivation_gap(net, x) < 1e-4:
             x = x + 0.01
         cot = rng.standard_normal(8)
-        grad = features.embed_vjp(net, x, cot)
+        grad = features.embed_vjp(net, x[None], cot[None])[0]
         h = 1e-7
         u = rng.standard_normal(48)
         u /= np.linalg.norm(u)
@@ -65,11 +65,23 @@ class TestVjp:
         fd = (f(x + h * u) - f(x - h * u)) / (2 * h)
         assert float(grad @ u) == pytest.approx(fd, rel=1e-5)
 
+    def test_rows_are_independent(self, net, rng):
+        # row i of a batch equals that row alone, as a batch of one
+        imgs = rng.standard_normal((4, 48))
+        cots = rng.standard_normal((4, 8))
+        batch = features.embed_vjp(net, imgs, cots)
+        for i in range(4):
+            np.testing.assert_allclose(
+                batch[i], features.embed_vjp(net, imgs[i:i + 1], cots[i:i + 1])[0],
+                rtol=1e-12, atol=1e-14)
+
     def test_shape_errors(self, net):
         with pytest.raises(ValueError):
-            features.embed_vjp(net, np.zeros(47), np.zeros(8))
+            features.embed_vjp(net, np.zeros((1, 47)), np.zeros((1, 8)))
         with pytest.raises(ValueError):
-            features.embed_vjp(net, np.zeros(48), np.zeros(9))
+            features.embed_vjp(net, np.zeros((1, 48)), np.zeros((1, 9)))
+        with pytest.raises(ValueError):
+            features.embed_vjp(net, np.zeros((2, 48)), np.zeros((1, 8)))
 
 
 def test_min_preactivation_gap_nonnegative(net, rng):

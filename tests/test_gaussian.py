@@ -55,7 +55,7 @@ class TestFit:
         model = gaussian.fit_gaussian(samples, samples)
         # eps floor keeps the Cholesky factor usable on zero covariance
         assert np.all(np.isfinite(model.chol))
-        assert gaussian.mahalanobis_sq(model, np.ones(3)) == 0.0
+        assert gaussian.mahalanobis_sq_batch(model, np.ones((1, 3)))[0] == 0.0
 
 
 class TestMahalanobis:
@@ -66,33 +66,33 @@ class TestMahalanobis:
         for _ in range(50):
             v = rng.standard_normal(model.dim) * 4.0
             want = (v - model.mean_v) @ reg_inv @ (v - model.mean_v)
-            assert gaussian.mahalanobis_sq(model, v) == pytest.approx(
-                want, rel=1e-10)
+            assert gaussian.mahalanobis_sq_batch(model, v[None])[0] == \
+                pytest.approx(want, rel=1e-10)
 
     def test_zero_at_mean(self, small_model):
         model, _ = small_model
-        assert gaussian.mahalanobis_sq(model, model.mean_v) == 0.0
+        assert gaussian.mahalanobis_sq_batch(model, model.mean_v[None])[0] == 0.0
 
     def test_batch_matches_scalar(self, small_model):
         model, _ = small_model
         rng = np.random.default_rng(7)
         vs = rng.standard_normal((20, model.dim))
         batch = gaussian.mahalanobis_sq_batch(model, vs)
-        for i, v in enumerate(vs):
-            assert batch[i] == pytest.approx(gaussian.mahalanobis_sq(model, v),
-                                             rel=1e-12)
+        for i in range(len(vs)):
+            alone = gaussian.mahalanobis_sq_batch(model, vs[i:i + 1])[0]
+            assert batch[i] == pytest.approx(alone, rel=1e-12)
 
     def test_gradient_matches_fd(self, small_model):
         model, _ = small_model
         rng = np.random.default_rng(8)
-        v = rng.standard_normal(model.dim)
-        grad = gaussian.mahalanobis_sq_grad(model, v)
+        v = rng.standard_normal((1, model.dim))
+        grad = gaussian.mahalanobis_sq_grad_batch(model, v)[0]
         h = 1e-6
         for i in range(model.dim):
-            e = np.zeros(model.dim)
-            e[i] = h
-            fd = (gaussian.mahalanobis_sq(model, v + e)
-                  - gaussian.mahalanobis_sq(model, v - e)) / (2 * h)
+            e = np.zeros((1, model.dim))
+            e[0, i] = h
+            fd = (gaussian.mahalanobis_sq_batch(model, v + e)[0]
+                  - gaussian.mahalanobis_sq_batch(model, v - e)[0]) / (2 * h)
             assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
     def test_grad_batch_matches_scalar(self, small_model):
@@ -100,15 +100,17 @@ class TestMahalanobis:
         rng = np.random.default_rng(9)
         vs = rng.standard_normal((10, model.dim))
         batch = gaussian.mahalanobis_sq_grad_batch(model, vs)
-        for i, v in enumerate(vs):
-            np.testing.assert_allclose(batch[i],
-                                       gaussian.mahalanobis_sq_grad(model, v),
-                                       rtol=1e-12)
+        for i in range(len(vs)):
+            np.testing.assert_allclose(
+                batch[i], gaussian.mahalanobis_sq_grad_batch(model, vs[i:i + 1])[0],
+                rtol=1e-12)
 
     def test_shape_errors(self, small_model):
         model, _ = small_model
         with pytest.raises(ValueError):
-            gaussian.mahalanobis_sq(model, np.zeros(model.dim + 1))
+            gaussian.mahalanobis_sq_batch(model, np.zeros(model.dim))
+        with pytest.raises(ValueError):
+            gaussian.mahalanobis_sq_grad_batch(model, np.zeros((3, model.dim + 1)))
         with pytest.raises(ValueError):
             gaussian.mahalanobis_sq_batch(model, np.zeros((3, model.dim + 1)))
 

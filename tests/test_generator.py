@@ -63,10 +63,14 @@ class TestSampling:
         assert np.array_equal(ws, generator.map_latents(bundle, zs))
 
     def test_map_latent_single_equals_batch(self, bundle):
-        z = generator.sample_z(5, bundle.dims.latent_dim)
-        single = generator.map_latent(bundle, z)
-        batch = generator.map_latents(bundle, z[None])[0]
-        assert np.array_equal(single, batch)
+        # row i of a batch equals that row mapped alone, as a batch of one
+        zs = np.stack([generator.sample_z(5 + i, bundle.dims.latent_dim)
+                       for i in range(3)])
+        batch = generator.map_latents(bundle, zs)
+        for i in range(3):
+            np.testing.assert_allclose(
+                batch[i], generator.map_latents(bundle, zs[i:i + 1])[0],
+                rtol=1e-12, atol=1e-14)
 
 
 class TestSynthesis:
@@ -100,6 +104,13 @@ class TestSynthesis:
             generator.synthesize_batch(bundle, np.zeros((1, 2, 2)))
 
 
+def _vjp(bundle, stacks, cots):
+    """Style gradients of the linear losses <image_i, cot_i>."""
+    cots = np.asarray(cots)
+    return generator.synthesize_vjp_batch(
+        bundle, stacks, lambda images: (np.sum(images * cots, axis=1), cots))[2]
+
+
 class TestVjp:
     def test_matches_finite_differences(self, bundle, rng):
         s, d = bundle.dims.scales, bundle.dims.latent_dim
@@ -109,7 +120,7 @@ class TestVjp:
             if generator.min_preactivation_gap(bundle, stack) < 1e-3:
                 continue
             cot = rng.standard_normal(bundle.dims.pixels)
-            grad = generator.synthesize_vjp(bundle, stack, cot)
+            grad = _vjp(bundle, stack[None], cot[None])[0]
             u = rng.standard_normal((s, d))
             u /= np.linalg.norm(u)
             f = lambda x: float(generator.synthesize(bundle, x) @ cot)
@@ -120,16 +131,24 @@ class TestVjp:
         s, d = bundle.dims.scales, bundle.dims.latent_dim
         stacks = rng.standard_normal((3, s, d))
         cots = rng.standard_normal((3, bundle.dims.pixels))
-        batch = generator.synthesize_vjp_batch(bundle, stacks, cots)
+        batch = _vjp(bundle, stacks, cots)
         for i in range(3):
-            single = generator.synthesize_vjp(bundle, stacks[i], cots[i])
+            single = _vjp(bundle, stacks[i:i + 1], cots[i:i + 1])[0]
             np.testing.assert_allclose(batch[i], single, rtol=1e-12)
+
+    def test_returns_the_images_and_losses_of_its_pass(self, bundle, rng):
+        stacks = rng.standard_normal((2, bundle.dims.scales,
+                                      bundle.dims.latent_dim))
+        images, losses, grads = generator.synthesize_vjp_batch(
+            bundle, stacks, lambda im: (im.sum(axis=1), np.zeros_like(im)))
+        assert np.array_equal(images, generator.synthesize_batch(bundle, stacks))
+        assert np.array_equal(losses, images.sum(axis=1))
+        assert np.array_equal(grads, np.zeros_like(stacks))
 
     def test_cotangent_shape_checked(self, bundle, rng):
         s, d = bundle.dims.scales, bundle.dims.latent_dim
         with pytest.raises(ValueError):
-            generator.synthesize_vjp_batch(bundle, rng.standard_normal((1, s, d)),
-                                           rng.standard_normal((1, 5)))
+            _vjp(bundle, rng.standard_normal((1, s, d)), rng.standard_normal((1, 5)))
 
 
 class TestBundleSerialization:

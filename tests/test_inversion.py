@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from latentprior import features
+from latentprior import features, generator
 from latentprior.errors import NumericalFailure
 from latentprior.gaussian import fit_gaussian, mahalanobis_sq_batch
 from latentprior.generator import sample_styles, synthesize_batch
@@ -78,36 +78,42 @@ class TestAdamStep:
             adam_step(state, np.zeros(6), 0.1, 0.9, 0.999, 1e-8)
 
 
+def _loss(a, b, kind):
+    """reconstruction_loss of two single images, as batches of one row."""
+    losses, grads = reconstruction_loss(a[None], b[None], kind)
+    return losses[0], grads[0]
+
+
 class TestReconstructionLoss:
     def test_pixel_mse_hand_values(self):
-        a = np.array([1.0, 2.0, 3.0])
-        b = np.array([0.0, 2.0, 5.0])
-        loss, grad = reconstruction_loss(a, b, LOSS_PIXEL)
-        npt.assert_allclose(loss, 5.0 / 3.0, rtol=1e-15)
-        npt.assert_allclose(grad, 2.0 * (a - b) / 3.0, rtol=1e-15)
+        a = np.array([[1.0, 2.0, 3.0], [1.0, 1.0, 1.0]])
+        b = np.array([[0.0, 2.0, 5.0], [1.0, 1.0, 4.0]])
+        losses, grads = reconstruction_loss(a, b, LOSS_PIXEL)
+        npt.assert_allclose(losses, [5.0 / 3.0, 3.0], rtol=1e-15)
+        npt.assert_allclose(grads, 2.0 * (a - b) / 3.0, rtol=1e-15)
 
     def test_pixel_gradient_matches_finite_differences(self, rng):
         a = rng.standard_normal(12)
         b = rng.standard_normal(12)
-        _, grad = reconstruction_loss(a, b, LOSS_PIXEL)
+        _, grad = _loss(a, b, LOSS_PIXEL)
         h = 1e-6
         for i in range(12):
             e = np.zeros(12)
             e[i] = h
-            fd = (reconstruction_loss(a + e, b, LOSS_PIXEL)[0]
-                  - reconstruction_loss(a - e, b, LOSS_PIXEL)[0]) / (2 * h)
+            fd = (_loss(a + e, b, LOSS_PIXEL)[0]
+                  - _loss(a - e, b, LOSS_PIXEL)[0]) / (2 * h)
             npt.assert_allclose(grad[i], fd, rtol=1e-7, atol=1e-12)
 
     def test_proxy_zero_for_identical_images(self, rng):
         a = rng.standard_normal(64)
-        loss, grad = reconstruction_loss(a, a.copy(), LOSS_PROXY)
+        loss, grad = _loss(a, a.copy(), LOSS_PROXY)
         assert loss == 0.0
         npt.assert_array_equal(grad, np.zeros(64))
 
     def test_proxy_positive_for_different_images(self, rng):
         a = rng.standard_normal(64)
         b = rng.standard_normal(64)
-        loss, _ = reconstruction_loss(a, b, LOSS_PROXY)
+        loss, _ = _loss(a, b, LOSS_PROXY)
         assert loss > 0.0
 
     def test_proxy_gradient_matches_finite_differences(self):
@@ -122,22 +128,24 @@ class TestReconstructionLoss:
                 b = rng.standard_normal(64)
                 break
         assert a is not None
-        _, grad = reconstruction_loss(a, b, LOSS_PROXY)
+        _, grad = _loss(a, b, LOSS_PROXY)
         h = 1e-6
         for _ in range(5):
             d = rng.standard_normal(64)
             d /= np.linalg.norm(d)
-            fd = (reconstruction_loss(a + h * d, b, LOSS_PROXY)[0]
-                  - reconstruction_loss(a - h * d, b, LOSS_PROXY)[0]) / (2 * h)
+            fd = (_loss(a + h * d, b, LOSS_PROXY)[0]
+                  - _loss(a - h * d, b, LOSS_PROXY)[0]) / (2 * h)
             npt.assert_allclose(grad @ d, fd, rtol=1e-5, atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
-            reconstruction_loss(np.zeros(4), np.zeros(5), LOSS_PIXEL)
+            reconstruction_loss(np.zeros((1, 4)), np.zeros((1, 5)), LOSS_PIXEL)
+        with pytest.raises(ValueError, match="mismatch"):
+            reconstruction_loss(np.zeros(4), np.zeros(4), LOSS_PIXEL)
 
     def test_unknown_loss_kind_rejected(self):
         with pytest.raises(ValueError, match="loss_kind"):
-            reconstruction_loss(np.zeros(4), np.zeros(4), "ssim")
+            reconstruction_loss(np.zeros((1, 4)), np.zeros((1, 4)), "ssim")
 
 
 class TestConfig:
@@ -187,7 +195,7 @@ class TestObjective:
         total, _ = objective_and_gradient(image, bundle, fitted_model, cfg, probe)
         recon = synthesize_batch(
             bundle, broadcast_style(probe, bundle.dims.scales)[None])[0]
-        loss, _ = reconstruction_loss(recon, image, LOSS_PIXEL)
+        loss, _ = _loss(recon, image, LOSS_PIXEL)
         assert total == loss
 
     def test_total_splits_into_loss_plus_prior(self, bundle, fitted_model, target):
@@ -197,7 +205,7 @@ class TestObjective:
         probe = stack + 0.03
         total, _ = objective_and_gradient(image, bundle, fitted_model, cfg, probe)
         recon = synthesize_batch(bundle, probe[None])[0]
-        loss, _ = reconstruction_loss(recon, image, LOSS_PIXEL)
+        loss, _ = _loss(recon, image, LOSS_PIXEL)
         prior = float(np.sum(mahalanobis_sq_batch(fitted_model, w_to_v(probe))))
         npt.assert_allclose(total, loss + weight * prior, rtol=1e-14)
 
@@ -248,7 +256,7 @@ class TestInvert:
         _, stack, image = target
         mean_image = synthesize_batch(
             bundle, broadcast_style(fitted_model.mean_w, bundle.dims.scales)[None])[0]
-        start_error, _ = reconstruction_loss(mean_image, image, LOSS_PIXEL)
+        start_error, _ = _loss(mean_image, image, LOSS_PIXEL)
         cfg = InversionConfig(target_space=SPACE_W, prior_weight=0.0,
                               learning_rate=0.1, iterations=250, seed=3)
         result = invert(image, bundle, fitted_model, cfg)
@@ -266,6 +274,24 @@ class TestInvert:
         cfg_p = InversionConfig(target_space=SPACE_W, prior_weight=1e-4, iterations=6)
         with_prior = invert(image, bundle, fitted_model, cfg_p)
         assert np.all(with_prior.prior_trace > 0)
+
+    @pytest.mark.parametrize("space", [SPACE_W, SPACE_WPLUS])
+    def test_one_forward_pass_per_iteration(self, bundle, fitted_model, target,
+                                            space, monkeypatch):
+        # k iterations of forward + backward, then one forward for the
+        # final image
+        _, _, image = target
+        calls = []
+        forward = generator._forward
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(generator, "_forward", counting)
+        cfg = InversionConfig(target_space=space, iterations=5)
+        invert(image, bundle, fitted_model, cfg)
+        assert len(calls) == 5 + 1
 
     def test_wplus_latent_shape(self, bundle, fitted_model, target):
         _, _, image = target
