@@ -57,7 +57,6 @@ from .generator import (
     read_image_f64,
     sample_styles,
     save_bundle,
-    synthesize,
     write_image_f64,
     write_ppm,
 )
@@ -72,7 +71,7 @@ from .inversion import (
     result_to_json,
 )
 from .seeding import STREAM_FIT, STREAM_SAMPLES, rng_from
-from .spaces import broadcast_style, read_latents, v_to_w, w_to_v, write_latents
+from .spaces import read_latents, v_to_w, w_to_v, write_latents
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -272,12 +271,9 @@ def _run_invert(config, inputs, out: Path, threads):
     )
     result = invert(target, bundle, model, cfg)
     (out / "result.json").write_text(result_to_json(result, cfg))
-    latent = result.latent
-    write_latents(out / "latent.lat", latent if latent.ndim == 2 else latent[None])
-    stack = latent if latent.ndim == 2 else broadcast_style(latent, bundle.dims.scales)
-    recon = synthesize(bundle, stack)
-    write_image_f64(out / "recon.f64", recon)
-    write_ppm(out / "recon.ppm", recon, bundle.dims.image_shape)
+    write_latents(out / "latent.lat", result.latent.reshape(-1, bundle.dims.latent_dim))
+    write_image_f64(out / "recon.f64", result.final_image)
+    write_ppm(out / "recon.ppm", result.final_image, bundle.dims.image_shape)
     return (["result.json", "latent.lat", "recon.f64", "recon.ppm"],
             {"final_image_error": result.final_image_error})
 
@@ -329,9 +325,7 @@ def _run_lambda_sweep(config, inputs, out: Path, threads):
     bundle = load_bundle(inputs["bundle"])
     model = load_model(inputs["model"])
     grid = config["grid"]
-    if not grid:
-        raise UsageError("--grid must list at least one lambda")
-    base = _interp_config({**config, "lambdas": [grid[0]]})
+    base = _interp_config({**config, "lambdas": grid})
     reports = lambda_sweep(bundle, model, base, grid, threads=threads)
     outputs = []
     summary = {space: {"endpoint": [], "midpoint": []}

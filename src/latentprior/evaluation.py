@@ -46,6 +46,7 @@ from .inversion import (
     InversionConfig,
     NoiseRamp,
     invert,
+    latent_shape,
     reconstruction_loss,
 )
 from .seeding import (
@@ -56,7 +57,7 @@ from .seeding import (
     child_seed,
     rng_from,
 )
-from .spaces import w_to_v
+from .spaces import lift_rows, w_to_v
 
 # Fixed seeds for the two stand-in feature networks: one plays the role of
 # the distribution-distance features, one the role of the identity embedding.
@@ -116,9 +117,12 @@ class InterpolationConfig:
             if sp not in (SPACE_W, SPACE_WPLUS):
                 raise ValueError(f"unknown space {sp!r}")
         if not self.prior_weights:
-            raise ValueError("at least one prior weight is required")
+            raise ValueError("prior weights must be nonempty")
         if any(w < 0 for w in self.prior_weights):
             raise ValueError("prior weights must be nonnegative")
+        distinct = set(self.prior_weights)
+        if len({condition_label("", w) for w in distinct}) != len(distinct):
+            raise ValueError("prior weights must differ in their condition labels")
         if self.n_images < 2:
             raise ValueError("n_images must be >= 2")
         if self.n_pairs < 1:
@@ -215,19 +219,16 @@ def _ground_truth(bundle: GeneratorBundle, config: InterpolationConfig,
                   space_idx: int, space: str):
     """Sample true latents and their images for one condition's target pool.
 
-    W targets use a single style per image; W+ targets use per-scale
-    distinct styles, matching the space being inverted.
+    Each image draws as many z's as a latent of the space has rows: one
+    style for W, one per scale for W+.
     """
     s, d = bundle.dims.scales, bundle.dims.latent_dim
     rng = rng_from(config.seed, STREAM_TARGETS, space_idx)
-    stacks = np.empty((config.n_images, s, d))
+    latents = np.empty((config.n_images,) + latent_shape(space, bundle.dims))
+    rows = latents.reshape(config.n_images, -1, d)  # an (n, r, d) view
     for i in range(config.n_images):
-        if space == SPACE_W:
-            stacks[i] = map_latents(bundle, sample_z(rng, d)[None])[0]
-        else:
-            zs = np.stack([sample_z(rng, d) for _ in range(s)])
-            stacks[i] = map_latents(bundle, zs)
-    latents = stacks[:, 0, :].copy() if space == SPACE_W else stacks
+        rows[i] = map_latents(bundle, np.stack([sample_z(rng, d) for _ in rows[i]]))
+    stacks = lift_rows(rows, s)
     return latents, stacks, synthesize_batch(bundle, stacks)
 
 
@@ -236,8 +237,6 @@ def _invert_pool(bundle, model, config: InterpolationConfig, space: str,
                  truth_latents: np.ndarray, threads: int):
     """Invert every target of a pool; failures are masked, not raised."""
     n = config.n_images
-    inv_shape = ((bundle.dims.scales, bundle.dims.latent_dim)
-                 if space == SPACE_WPLUS else (bundle.dims.latent_dim,))
 
     def task(i: int):
         cfg = InversionConfig(
@@ -256,7 +255,7 @@ def _invert_pool(bundle, model, config: InterpolationConfig, space: str,
             return None
 
     results = _pmap(task, range(n), threads)
-    est = np.zeros((n,) + inv_shape)
+    est = np.zeros_like(truth_latents)
     ok = np.zeros(n, dtype=bool)
     lat_err = np.zeros(n)
     img_err = np.zeros(n)
@@ -272,8 +271,6 @@ def _invert_pool(bundle, model, config: InterpolationConfig, space: str,
 
 def interpolation_experiment(bundle: GeneratorBundle, model: GaussianModel,
                              config: InterpolationConfig,
-                             n_pairs: int | None = None,
-                             t_grid=None,
                              target_bundle: GeneratorBundle | None = None,
                              threads: int = 1) -> ExperimentReport:
     """Run the interpolation-error protocol for every configured condition.
@@ -283,13 +280,6 @@ def interpolation_experiment(bundle: GeneratorBundle, model: GaussianModel,
     numbers against the target generator's latents. ``threads`` only sets
     the worker count; results are identical for any value.
     """
-    overrides = {}
-    if n_pairs is not None:
-        overrides["n_pairs"] = n_pairs
-    if t_grid is not None:
-        overrides["t_grid"] = tuple(t_grid)
-    if overrides:
-        config = replace(config, **overrides)
     if model.dim != bundle.dims.latent_dim:
         raise ValueError(
             f"model dim {model.dim} != generator latent dim {bundle.dims.latent_dim}"
@@ -301,6 +291,7 @@ def interpolation_experiment(bundle: GeneratorBundle, model: GaussianModel,
     records: dict[str, ConditionRecord] = {}
     conditions: list[str] = []
     n_t = len(config.t_grid)
+    d, s = bundle.dims.latent_dim, bundle.dims.scales
     for space_idx, space in enumerate(config.spaces):
         truth_latents, truth_stacks, targets = _ground_truth(
             truth_gen, config, space_idx, space
@@ -320,8 +311,7 @@ def interpolation_experiment(bundle: GeneratorBundle, model: GaussianModel,
                 bundle, model, config, space, weight, space_idx,
                 targets, truth_latents, threads,
             )
-            est_stacks = (est if space == SPACE_WPLUS
-                          else np.repeat(est[:, None, :], bundle.dims.scales, axis=1))
+            est_stacks = lift_rows(est.reshape(len(est), -1, d), s)
             pair_ok = ok[pairs[:, 0]] & ok[pairs[:, 1]]
             pair_errors = np.zeros((config.n_pairs, n_t))
             for ti, t in enumerate(config.t_grid):
@@ -363,12 +353,6 @@ def lambda_sweep(bundle: GeneratorBundle, model: GaussianModel,
     included).
     """
     grid = tuple(dict.fromkeys(float(lam) for lam in lambda_grid))
-    if not grid:
-        raise ValueError("lambda grid must be nonempty")
-    if any(lam < 0 for lam in grid):
-        raise ValueError("lambda grid values must be nonnegative")
-    if len({condition_label("", lam) for lam in grid}) != len(grid):
-        raise ValueError("lambda grid values must differ in their condition labels")
     full = interpolation_experiment(bundle, model,
                                     replace(config, prior_weights=grid),
                                     threads=threads)
@@ -401,18 +385,8 @@ def fid_proxy(images_a, images_b, feature_net: FeatureNet) -> float:
     return frechet_distance(fit_gaussian(fa, fa), fit_gaussian(fb, fb))
 
 
-def identity_similarity(image_a, image_b, feature_net: FeatureNet) -> float:
-    """Cosine similarity of the two images' feature vectors; 0 on zero norm."""
-    fa = embed(feature_net, np.asarray(image_a, dtype=np.float64))
-    fb = embed(feature_net, np.asarray(image_b, dtype=np.float64))
-    na = float(np.linalg.norm(fa))
-    nb = float(np.linalg.norm(fb))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.clip(float(fa @ fb) / (na * nb), -1.0, 1.0))
-
-
-def _mean_cosine(feats_a: np.ndarray, feats_b: np.ndarray) -> float:
+def mean_cosine(feats_a, feats_b) -> float:
+    """Mean row-wise cosine of two (n, k) feature batches; 0 on zero norm."""
     na = np.linalg.norm(feats_a, axis=1)
     nb = np.linalg.norm(feats_b, axis=1)
     ok = (na > 0) & (nb > 0)
@@ -555,8 +529,7 @@ class TradeoffReport:
 
 
 def _style_images(bundle: GeneratorBundle, ws: np.ndarray) -> np.ndarray:
-    stacks = np.repeat(ws[:, None, :], bundle.dims.scales, axis=1)
-    return synthesize_batch(bundle, stacks)
+    return synthesize_batch(bundle, lift_rows(ws[:, None, :], bundle.dims.scales))
 
 
 def _pixel_std(images: np.ndarray) -> float:
@@ -620,9 +593,9 @@ def fid_tradeoff(bundle: GeneratorBundle, model: GaussianModel,
             fid_truncation=fid_t,
             fid_compression=float(fid_c),
             matched=matched,
-            identity_truncation=_mean_cosine(
+            identity_truncation=mean_cosine(
                 id_feats_raw, embed(id_net, trunc_imgs[:n_id])),
-            identity_compression=_mean_cosine(
+            identity_compression=mean_cosine(
                 id_feats_raw, embed(id_net, comp_imgs[:n_id])),
             pixel_std_truncation=_pixel_std(trunc_imgs),
             pixel_std_compression=_pixel_std(comp_imgs),

@@ -64,34 +64,34 @@ def _preactivations(net: FeatureNet, images: np.ndarray):
 
 
 def embed(net: FeatureNet, images) -> np.ndarray:
-    """Embed (n, n_in) images (or one flat image) into feature space."""
-    arr = np.asarray(images, dtype=np.float64)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] != net.n_in:
-        raise ValueError(f"expected (n, {net.n_in}) images, got {arr.shape}")
-    _, f_pre = _preactivations(net, arr)
-    f = np.where(f_pre >= 0, f_pre, SLOPE * f_pre)
-    return f[0] if single else f
+    """Embed (n, n_in) images into (n, n_out) features."""
+    return embed_vjp(net, images)[0]
 
 
-def embed_vjp(net: FeatureNet, images, feature_cotangents) -> np.ndarray:
-    """Row-wise gradient of <embed(images), cotangents> w.r.t. the images.
+def embed_vjp(net: FeatureNet, images):
+    """Features of (n, n_in) images and the pullback of their row-wise VJP.
 
-    ``images`` is (n, n_in) and ``feature_cotangents`` (n, n_out); row i of
-    the (n, n_in) result pulls cotangent row i back through image row i.
+    Returns (features, pullback), both from one forward pass: ``features``
+    equals embed(net, images), and ``pullback(cotangents)`` maps (n, n_out)
+    feature cotangents to the (n, n_in) gradient of <features, cotangents>
+    with respect to the images, row i pulled back through image row i.
     """
     x = np.asarray(images, dtype=np.float64)
-    cot = np.asarray(feature_cotangents, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != net.n_in or cot.shape != (x.shape[0], net.n_out):
-        raise ValueError(
-            f"image / cotangent shape mismatch: {x.shape} vs {cot.shape}"
-        )
+    if x.ndim != 2 or x.shape[1] != net.n_in:
+        raise ValueError(f"expected (n, {net.n_in}) images, got {x.shape}")
     h_pre, f_pre = _preactivations(net, x)
-    g_fpre = cot * np.where(f_pre >= 0, 1.0, SLOPE)
-    g_hpre = (g_fpre @ net.w2) * np.where(h_pre >= 0, 1.0, SLOPE)
-    return g_hpre @ net.w1
+
+    def pullback(feature_cotangents) -> np.ndarray:
+        cot = np.asarray(feature_cotangents, dtype=np.float64)
+        if cot.shape != f_pre.shape:
+            raise ValueError(
+                f"expected cotangents of shape {f_pre.shape}, got {cot.shape}"
+            )
+        g_fpre = cot * np.where(f_pre >= 0, 1.0, SLOPE)
+        g_hpre = (g_fpre @ net.w2) * np.where(h_pre >= 0, 1.0, SLOPE)
+        return g_hpre @ net.w1
+
+    return np.where(f_pre >= 0, f_pre, SLOPE * f_pre), pullback
 
 
 def min_preactivation_gap(net: FeatureNet, image) -> float:

@@ -121,11 +121,15 @@ def fit_gaussian(samples_v, samples_w) -> GaussianModel:
 
 
 def _whiten(model: GaussianModel, vs) -> np.ndarray:
-    """L^{-1} (v - mu) for every row of an (n, d) array, as (d, n) columns."""
+    """L^{-1} (v - mu) for every row of an (n, d) array, as (d, n) columns.
+
+    Non-finite rows give non-finite energies, for the caller to judge.
+    """
     arr = np.asarray(vs, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != model.dim:
         raise ValueError(f"expected shape (n, {model.dim}), got {arr.shape}")
-    return solve_triangular(model.chol, (arr - model.mean_v).T, lower=True)
+    return solve_triangular(model.chol, (arr - model.mean_v).T, lower=True,
+                            check_finite=False)
 
 
 def mahalanobis_sq_batch(model: GaussianModel, vs) -> np.ndarray:
@@ -136,7 +140,8 @@ def mahalanobis_sq_batch(model: GaussianModel, vs) -> np.ndarray:
 
 def mahalanobis_sq_grad_batch(model: GaussianModel, vs) -> np.ndarray:
     """Row-wise gradient 2 (cov + eps I)^{-1} (v - mu). Returns (n, d)."""
-    return 2.0 * solve_triangular(model.chol.T, _whiten(model, vs), lower=False).T
+    return 2.0 * solve_triangular(model.chol.T, _whiten(model, vs), lower=False,
+                                  check_finite=False).T
 
 
 def sample_latents(model: GaussianModel, seed, n: int) -> np.ndarray:

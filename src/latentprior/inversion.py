@@ -1,20 +1,23 @@
 """Latent inversion: recover the style that generated a target image.
 
-Minimizes reconstruction_loss(G(latent), target) + weight * prior(latent)
-over W (one style, applied at every scale) or W+ (one style per scale)
-with ADAM. Each iteration makes one synthesize_vjp_batch call: one forward
-pass, whose image feeds the loss, then the backward pass. The prior is the
-Gaussian energy in the corrected space V, evaluated per style and summed
-over the scales of a stack. Optimization starts at the empirical W mean
-and, following the usual projector recipe, perturbs the latent with
-ramped-down Gaussian noise during the early iterations: the noise enters
-the forward evaluation only, the update is applied to the clean latent.
+Minimizes loss(G(latent), target) + weight * prior(latent) with ADAM over
+W (one style at every scale) or W+ (one style per scale), as one case: a
+latent is (r, d) rows, r = 1 for W and s for W+, that lift_rows turns into
+the (s, d) stack; public latents are (d,) for W and (s, d) for W+. The
+prior is the Gaussian energy in the corrected space V, summed over the
+rows. The loss is built once per target, and each iteration makes one
+synthesize_vjp_batch call: one forward pass, whose image feeds the loss,
+then the backward pass. Optimization starts at the empirical W mean and,
+following the usual projector recipe, perturbs the latent with ramped-down
+Gaussian noise during the early iterations: the noise enters the forward
+evaluation only, the update is applied to the clean latent.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -26,9 +29,11 @@ from .gaussian import (
     mahalanobis_sq_grad_batch,
     sample_latents,
 )
-from .generator import GeneratorBundle, synthesize_batch, synthesize_vjp_batch
+from .generator import (GeneratorBundle, GeneratorDims, synthesize_batch,
+                        synthesize_vjp_batch)
 from .seeding import STREAM_INVERT_NOISE, STREAM_W_STD, rng_from
-from .spaces import SLOPE_W_TO_V, broadcast_style, lru_deriv, v_to_w, w_to_v
+from .spaces import (SLOPE_W_TO_V, lift_rows, lift_rows_adjoint, lru_deriv,
+                     v_to_w, w_to_v)
 
 SPACE_W = "w"
 SPACE_WPLUS = "wplus"
@@ -111,31 +116,57 @@ class InversionResult:
     prior_trace: np.ndarray   # prior energy per iteration (zeros when weight 0)
     final_image_error: float  # reconstruction loss at the returned latent
     iterations_run: int
+    final_image: np.ndarray   # (pixels,) image of the returned latent
+
+
+def latent_shape(space: str, dims: GeneratorDims) -> tuple[int, ...]:
+    """Public shape of a latent: (d,) for W, (s, d) for W+."""
+    if space == SPACE_WPLUS:
+        return (dims.scales, dims.latent_dim)
+    return (dims.latent_dim,)
+
+
+def _pixel_embedding(images):
+    """The pixel loss's embedding: the identity, with the identity pullback."""
+    return images, lambda cotangents: cotangents
+
+
+def _row_loss(targets: np.ndarray, loss_kind: str):
+    """reconstruction_loss against fixed targets as ``loss_fn(images)``.
+
+    The targets are embedded once, here; each call embeds its images and
+    pulls the gradient back through that same pass.
+    """
+    if loss_kind == LOSS_PIXEL:
+        embed_vjp = _pixel_embedding
+    elif loss_kind == LOSS_PROXY:
+        embed_vjp = partial(features.embed_vjp, features.proxy_net(targets.shape[1]))
+    else:
+        raise ValueError(f"unknown loss_kind {loss_kind!r}")
+    target_feats, _ = embed_vjp(targets)
+
+    def loss_fn(images):
+        feats, pullback = embed_vjp(images)
+        diff = feats - target_feats
+        return np.mean(diff * diff, axis=1), pullback(2.0 * diff / diff.shape[1])
+
+    return loss_fn
 
 
 def reconstruction_loss(images, targets, loss_kind: str):
     """Row-wise losses and gradients for two (n, pixels) image batches.
 
     Returns (losses, grads): losses[i] compares images[i] with targets[i],
-    and grads[i] is its gradient with respect to images[i], so the pair
-    plugs straight into synthesize_vjp_batch as its ``loss_fn``. pixel-mse
-    is the mean squared pixel difference. The proxy loss is the mean
-    squared difference of fixed random-network features, a stand-in for a
+    and grads[i] is its gradient with respect to images[i]. pixel-mse is
+    the mean squared pixel difference. The proxy loss is the mean squared
+    difference of fixed random-network features, a stand-in for a
     perceptual distance.
     """
     a = np.asarray(images, dtype=np.float64)
     b = np.asarray(targets, dtype=np.float64)
     if a.ndim != 2 or a.shape != b.shape:
         raise ValueError(f"image batch shape mismatch: {a.shape} vs {b.shape}")
-    if loss_kind == LOSS_PIXEL:
-        diff = a - b
-        return np.mean(diff * diff, axis=1), 2.0 * diff / diff.shape[1]
-    if loss_kind == LOSS_PROXY:
-        net = features.proxy_net(a.shape[1])
-        df = features.embed(net, a) - features.embed(net, b)
-        grads = features.embed_vjp(net, a, 2.0 * df / df.shape[1])
-        return np.mean(df * df, axis=1), grads
-    raise ValueError(f"unknown loss_kind {loss_kind!r}")
+    return _row_loss(b, loss_kind)(a)
 
 
 @dataclass(frozen=True)
@@ -171,51 +202,39 @@ def w_std_norm(model: GaussianModel) -> float:
     return float(np.linalg.norm(ws.std(axis=0, ddof=1)))
 
 
-def _as_stacks(latent: np.ndarray, wplus: bool, scales: int) -> np.ndarray:
-    """Lift a latent to a batch of one (s, d) stack."""
-    if wplus:
-        return latent[None]
-    return broadcast_style(latent, scales)[None]
-
-
-def _eval_objective(target, bundle, model, config, latent):
-    """Loss, prior energy, and total gradient at one latent (no noise)."""
-    wplus = config.target_space == SPACE_WPLUS
-    stacks = _as_stacks(latent, wplus, bundle.dims.scales)
-    _, losses, g_stacks = synthesize_vjp_batch(
-        bundle, stacks,
-        lambda images: reconstruction_loss(images, target[None], config.loss_kind),
-    )
-    loss = float(losses[0])
-    grad = g_stacks[0] if wplus else g_stacks[0].sum(axis=0)
+def _eval_objective(loss_fn, bundle, model, prior_weight: float, rows):
+    """Loss, prior energy, and total gradient at (r, d) latent rows (no noise)."""
+    stacks = lift_rows(rows[None], bundle.dims.scales)
+    _, losses, g_stacks = synthesize_vjp_batch(bundle, stacks, loss_fn)
+    grad = lift_rows_adjoint(g_stacks[0], rows.shape[0])
 
     prior = 0.0
-    if config.prior_weight > 0:
-        rows = latent if wplus else latent[None]
+    if prior_weight > 0:
         vs = w_to_v(rows)
         prior = float(np.sum(mahalanobis_sq_batch(model, vs)))
         g_prior = mahalanobis_sq_grad_batch(model, vs) * lru_deriv(rows, SLOPE_W_TO_V)
-        grad = grad + config.prior_weight * (g_prior if wplus else g_prior[0])
-    return loss, prior, grad
+        grad = grad + prior_weight * g_prior
+    return float(losses[0]), prior, grad
+
+
+def _rows_of(latent, shape: tuple[int, ...]) -> np.ndarray:
+    """A copy of a latent of the public ``shape`` as (r, d) rows."""
+    arr = np.array(latent, dtype=np.float64)
+    if arr.shape != shape:
+        raise ValueError(f"latent shape {arr.shape}, expected {shape}")
+    return arr.reshape(-1, shape[-1])
 
 
 def objective_and_gradient(target_image, bundle: GeneratorBundle,
                            model: GaussianModel, config: InversionConfig,
                            latent):
     """Total objective loss + weight * prior and its gradient at ``latent``."""
-    arr = _check_latent(bundle, config, np.asarray(latent, dtype=np.float64))
-    loss, prior, grad = _eval_objective(
-        np.asarray(target_image, dtype=np.float64), bundle, model, config, arr
-    )
-    return loss + config.prior_weight * prior, grad
-
-
-def _check_latent(bundle, config, latent: np.ndarray) -> np.ndarray:
-    d, s = bundle.dims.latent_dim, bundle.dims.scales
-    want = (s, d) if config.target_space == SPACE_WPLUS else (d,)
-    if latent.shape != want:
-        raise ValueError(f"latent shape {latent.shape}, expected {want}")
-    return latent
+    shape = latent_shape(config.target_space, bundle.dims)
+    target = np.asarray(target_image, dtype=np.float64)
+    loss_fn = _row_loss(target[None], config.loss_kind)
+    loss, prior, grad = _eval_objective(loss_fn, bundle, model, config.prior_weight,
+                                        _rows_of(latent, shape))
+    return loss + config.prior_weight * prior, grad.reshape(shape)
 
 
 def invert(target_image, bundle: GeneratorBundle, model: GaussianModel,
@@ -223,7 +242,7 @@ def invert(target_image, bundle: GeneratorBundle, model: GaussianModel,
     """Solve the inversion problem for one target image.
 
     ``init_latent`` overrides the default start at the empirical W mean
-    (broadcast for W+); the override is what oracle-mode experiments use.
+    (on every row); the override is what oracle-mode experiments use.
     """
     target = np.asarray(target_image, dtype=np.float64)
     if target.shape != (bundle.dims.pixels,):
@@ -234,14 +253,10 @@ def invert(target_image, bundle: GeneratorBundle, model: GaussianModel,
         raise ValueError(
             f"model dim {model.dim} != generator latent dim {bundle.dims.latent_dim}"
         )
-    wplus = config.target_space == SPACE_WPLUS
-
-    if init_latent is None:
-        latent = (broadcast_style(model.mean_w, bundle.dims.scales)
-                  if wplus else model.mean_w.copy())
-    else:
-        latent = _check_latent(bundle, config,
-                               np.array(init_latent, dtype=np.float64))
+    shape = latent_shape(config.target_space, bundle.dims)
+    start = np.broadcast_to(model.mean_w, shape) if init_latent is None else init_latent
+    rows = _rows_of(start, shape)
+    loss_fn = _row_loss(target[None], config.loss_kind)
 
     iterations = config.resolved_iterations
     lr = config.resolved_learning_rate
@@ -250,7 +265,7 @@ def invert(target_image, bundle: GeneratorBundle, model: GaussianModel,
     sigma0 = ramp.initial_std_factor * w_std_norm(model) \
         if ramp.initial_std_factor > 0 else 0.0
 
-    state = AdamState.fresh(latent.shape)
+    state = AdamState.fresh(rows.shape)
     loss_trace = np.zeros(iterations)
     prior_trace = np.zeros(iterations)
 
@@ -258,11 +273,11 @@ def invert(target_image, bundle: GeneratorBundle, model: GaussianModel,
         decay = max(0.0, 1.0 - t / (ramp.ramp_fraction * iterations)) ** 2
         std_t = sigma0 * decay
         if std_t > 0:
-            eval_latent = latent + std_t * noise_rng.standard_normal(latent.shape)
+            eval_rows = rows + std_t * noise_rng.standard_normal(rows.shape)
         else:
-            eval_latent = latent
-        loss, prior, grad = _eval_objective(target, bundle, model, config,
-                                            eval_latent)
+            eval_rows = rows
+        loss, prior, grad = _eval_objective(loss_fn, bundle, model,
+                                            config.prior_weight, eval_rows)
         if not np.isfinite(loss) or not np.isfinite(prior):
             raise NumericalFailure(
                 f"inversion diverged at iteration {t} (loss={loss}, prior={prior})",
@@ -272,16 +287,17 @@ def invert(target_image, bundle: GeneratorBundle, model: GaussianModel,
         prior_trace[t] = prior
         state, delta = adam_step(state, grad, lr, config.adam.beta1,
                                  config.adam.beta2, config.adam.eps)
-        latent = latent + delta
+        rows = rows + delta
 
-    final_image = synthesize_batch(bundle, _as_stacks(latent, wplus, bundle.dims.scales))
-    final_errors, _ = reconstruction_loss(final_image, target[None], config.loss_kind)
+    final_image = synthesize_batch(bundle, lift_rows(rows[None], bundle.dims.scales))
+    final_errors, _ = loss_fn(final_image)
     return InversionResult(
-        latent=latent,
+        latent=rows.reshape(shape),
         loss_trace=loss_trace,
         prior_trace=prior_trace,
         final_image_error=float(final_errors[0]),
         iterations_run=iterations,
+        final_image=final_image[0],
     )
 
 

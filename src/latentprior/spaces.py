@@ -10,9 +10,10 @@ Three coordinate systems appear throughout the package:
 * W+: a stack of s independent styles, one per synthesis scale.
 
 Latents are plain float64 numpy arrays: shape (d,) for a single style,
-(s, d) for a stack. The prior energy over W+ is block-diagonal (identical
-Gaussian per scale), so it is evaluated row-wise and summed rather than by
-materializing the s*d x s*d Kronecker matrix.
+(s, d) for a stack; inversion's (r, d) latent rows (r = 1 for W, s for W+)
+become a stack by lift_rows. The prior energy over W+ is block-diagonal
+(identical Gaussian per scale), so it is evaluated row-wise and summed
+rather than by materializing the s*d x s*d Kronecker matrix.
 """
 
 from __future__ import annotations
@@ -71,7 +72,17 @@ def broadcast_style(w, scales: int) -> np.ndarray:
         raise ValueError(f"expected a single (d,) style, got shape {arr.shape}")
     if scales < 1:
         raise ValueError(f"scales must be >= 1, got {scales}")
-    return np.tile(arr, (scales, 1))
+    return lift_rows(arr[None], scales)
+
+
+def lift_rows(rows, scales: int) -> np.ndarray:
+    """Lift (..., r, d) latent rows to (..., s, d) stacks; a row spans s / r scales."""
+    return np.repeat(rows, scales // rows.shape[-2], axis=-2)
+
+
+def lift_rows_adjoint(stack_grad, rows: int) -> np.ndarray:
+    """Adjoint of lift_rows for one (s, d) gradient: the sum over each row's scales."""
+    return stack_grad.reshape(rows, -1, stack_grad.shape[-1]).sum(axis=1)
 
 
 def mahalanobis_sq_plus(model: GaussianModel, stack) -> float:

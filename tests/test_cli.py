@@ -166,6 +166,31 @@ class TestExitCodes:
                      "--out", tmp_path / "o")
         assert rc == 4
 
+    def test_divergence_with_the_prior_is_numeric_error(self, ws, tmp_path, capsys):
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = run("invert", "--bundle", ws["bundle"], "--model", ws["model"],
+                     "--target", ws["target"], "--lambda", 1e-4,
+                     "--learning-rate", 1e308, "--iterations", 20,
+                     "--out", tmp_path / "o")
+        assert rc == 4
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+
+    @pytest.mark.parametrize("command, weights", [
+        (["experiment", "interpolation", "--spaces", "w"], "--lambdas"),
+        (["experiment", "lambda-sweep", "--spaces", "w"], "--grid"),
+    ], ids=["interpolation", "lambda-sweep"])
+    def test_weights_sharing_a_condition_label_are_usage(self, ws, tmp_path, capsys,
+                                                         command, weights):
+        capsys.readouterr()
+        rc = run(*command, "--bundle", ws["bundle"], "--model", ws["model"],
+                 weights, "1e-5,1.000001e-5", "--images", 2, "--pairs", 1,
+                 "--iters", 2, "--out", tmp_path / "o")
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "condition labels" in err
+
     def test_thread_count_must_be_positive(self, ws, tmp_path):
         rc = run("fit-prior", "--bundle", ws["bundle"], "--threads", 0,
                  "--out", tmp_path / "o")

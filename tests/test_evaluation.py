@@ -16,17 +16,17 @@ from latentprior.evaluation import (
     curve_csv,
     fid_proxy,
     fid_tradeoff,
-    identity_similarity,
     interpolation_experiment,
     lambda_sweep,
     latent_error,
+    mean_cosine,
     pc_magnitude_profile,
     profile_to_json,
     report_to_json,
     tail_probability,
     tradeoff_to_json,
 )
-from latentprior.features import FeatureNet, init_feature_net
+from latentprior.features import FeatureNet, embed, init_feature_net
 from latentprior.gaussian import fit_gaussian, sample_latents
 from latentprior.generator import GeneratorDims, init_generator
 from latentprior.inversion import SPACE_W, SPACE_WPLUS, NoiseRamp
@@ -77,6 +77,7 @@ class TestConfigValidation:
         {"loss_kind": "ssim"},
         {"t_grid": (0.0, 1.0)},            # midpoint missing
         {"t_grid": (0.0, 0.5, 1.0, 1.5)},  # outside [0, 1]
+        {"prior_weights": (1e-5, 1.000001e-5)},  # one condition label
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -205,11 +206,11 @@ class TestSmallExperiment:
 
 
 class TestExperimentArguments:
-    def test_overrides_replace_config_fields(self, bundle, fitted_model):
+    def test_config_sets_pairs_and_t_grid(self, bundle, fitted_model):
         cfg = quiet_config(iterations=5, oracle_init=True,
-                           noise_ramp=NoiseRamp(initial_std_factor=0.0))
-        report = interpolation_experiment(bundle, fitted_model, cfg,
-                                          n_pairs=1, t_grid=(0.0, 0.5, 1.0))
+                           noise_ramp=NoiseRamp(initial_std_factor=0.0),
+                           n_pairs=1, t_grid=(0.0, 0.5, 1.0))
+        report = interpolation_experiment(bundle, fitted_model, cfg)
         assert report.t_grid == (0.0, 0.5, 1.0)
         rec = report.record(report.conditions[0])
         assert rec.pair_errors.shape == (1, 3)
@@ -229,6 +230,18 @@ class TestExperimentArguments:
         with pytest.raises(ValueError, match="dims"):
             interpolation_experiment(bundle, fitted_model, quiet_config(),
                                      target_bundle=other)
+
+    def test_diverged_targets_are_masked(self, bundle, fitted_model):
+        # every inversion diverges, with the prior on as well as off; the
+        # experiment masks the targets instead of aborting
+        cfg = quiet_config(prior_weights=(0.0, 1e-4), n_images=2, n_pairs=1,
+                           iterations=5, learning_rate=1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = interpolation_experiment(bundle, fitted_model, cfg)
+        for condition in report.conditions:
+            rec = report.record(condition)
+            assert not rec.target_ok.any()
+            assert rec.n_failed_pairs == 1
 
     def test_out_of_model_targets_run(self, bundle, fitted_model, other_bundle):
         cfg = quiet_config(n_images=2, n_pairs=1, iterations=30)
@@ -305,26 +318,31 @@ def passthrough():
 
 
 class TestIdentitySimilarity:
+    # mean_cosine over batches of one row of passthrough features
+
+    @staticmethod
+    def similarity(a, b, net):
+        return mean_cosine(embed(net, a[None]), embed(net, b[None]))
 
     def test_positive_scaling_keeps_similarity_one(self, passthrough):
         x = np.array([1.0, 2.0, 0.5, 3.0])
-        sim = identity_similarity(x, 3.0 * x, passthrough)
+        sim = self.similarity(x, 3.0 * x, passthrough)
         assert sim >= 1.0 - 1e-12
         assert sim <= 1.0
 
     def test_negation_flips_to_minus_one(self, passthrough):
         x = np.array([1.0, 2.0, 0.5, 3.0])
-        assert identity_similarity(x, -x, passthrough) == -1.0
+        assert self.similarity(x, -x, passthrough) == -1.0
 
     def test_orthogonal_images_score_zero(self, passthrough):
         a = np.array([5.0, 0.0, 0.0, 0.0])
         b = np.array([0.0, 7.0, 0.0, 0.0])
-        assert identity_similarity(a, b, passthrough) == 0.0
+        assert self.similarity(a, b, passthrough) == 0.0
 
     def test_zero_feature_norm_scores_zero(self, passthrough):
         a = np.zeros(4)
         b = np.array([1.0, 1.0, 1.0, 1.0])
-        assert identity_similarity(a, b, passthrough) == 0.0
+        assert self.similarity(a, b, passthrough) == 0.0
 
 
 class TestPcProfile:

@@ -230,6 +230,26 @@ class TestObjective:
             npt.assert_allclose(np.sum(grad * d), (up - dn) / (2 * h),
                                 rtol=1e-4, atol=1e-10)
 
+    @pytest.mark.parametrize("loss_kind", [LOSS_PIXEL, LOSS_PROXY])
+    def test_w_is_the_one_row_case_of_wplus(self, bundle, fitted_model, target,
+                                            loss_kind):
+        # a W latent drives the same stack as its broadcast W+ stack, so the
+        # objectives agree bit for bit and the W gradient is the W+ gradient
+        # summed over the scales
+        style, _, image = target
+        probe = style + 0.05
+        cfg_w = InversionConfig(target_space=SPACE_W, prior_weight=0.0,
+                                loss_kind=loss_kind)
+        cfg_p = InversionConfig(target_space=SPACE_WPLUS, prior_weight=0.0,
+                                loss_kind=loss_kind)
+        total_w, grad_w = objective_and_gradient(image, bundle, fitted_model,
+                                                 cfg_w, probe)
+        total_p, grad_p = objective_and_gradient(
+            image, bundle, fitted_model, cfg_p,
+            broadcast_style(probe, bundle.dims.scales))
+        npt.assert_array_equal(total_w, total_p)
+        npt.assert_array_equal(grad_w, grad_p.sum(axis=0))
+
     def test_latent_shape_rejected(self, bundle, fitted_model, target):
         _, _, image = target
         cfg = InversionConfig(target_space=SPACE_W)
@@ -293,6 +313,38 @@ class TestInvert:
         invert(image, bundle, fitted_model, cfg)
         assert len(calls) == 5 + 1
 
+    @pytest.mark.parametrize("space", [SPACE_W, SPACE_WPLUS])
+    def test_proxy_target_is_embedded_once(self, bundle, fitted_model, target,
+                                           space, monkeypatch):
+        # one feature pass per iteration, one for the final image and one
+        # for the fixed target
+        _, _, image = target
+        calls = []
+        preactivations = features._preactivations
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return preactivations(*args, **kwargs)
+
+        monkeypatch.setattr(features, "_preactivations", counting)
+        cfg = InversionConfig(target_space=space, iterations=5, loss_kind=LOSS_PROXY)
+        invert(image, bundle, fitted_model, cfg)
+        assert len(calls) == 5 + 2
+
+    @pytest.mark.parametrize("space", [SPACE_W, SPACE_WPLUS])
+    def test_returns_the_image_of_its_latent(self, bundle, fitted_model, target,
+                                             space):
+        _, _, image = target
+        cfg = InversionConfig(target_space=space, iterations=3)
+        result = invert(image, bundle, fitted_model, cfg)
+        latent = result.latent
+        stack = latent if space == SPACE_WPLUS \
+            else broadcast_style(latent, bundle.dims.scales)
+        npt.assert_array_equal(result.final_image,
+                               synthesize_batch(bundle, stack[None])[0])
+        assert result.final_image_error == _loss(result.final_image, image,
+                                                 LOSS_PIXEL)[0]
+
     def test_wplus_latent_shape(self, bundle, fitted_model, target):
         _, _, image = target
         cfg = InversionConfig(target_space=SPACE_WPLUS, iterations=3)
@@ -300,16 +352,19 @@ class TestInvert:
         assert result.latent.shape == (bundle.dims.scales, bundle.dims.latent_dim)
 
     def test_divergence_raises_numerical_failure(self, bundle, fitted_model, target):
+        # (prior weight, learning rate); with the prior on, the diverged
+        # latent reaches the prior energy, which must not raise anything else
         _, _, image = target
-        cfg = InversionConfig(
-            target_space=SPACE_W, prior_weight=0.0, learning_rate=1e120,
-            iterations=10, noise_ramp=NoiseRamp(initial_std_factor=0.0),
-        )
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalFailure) as exc:
-                invert(image, bundle, fitted_model, cfg)
-        assert exc.value.iteration is not None
-        assert exc.value.iteration >= 1
+        for weight, lr in ((0.0, 1e120), (1e-4, 1e308)):
+            cfg = InversionConfig(
+                target_space=SPACE_W, prior_weight=weight, learning_rate=lr,
+                iterations=10, noise_ramp=NoiseRamp(initial_std_factor=0.0),
+            )
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(NumericalFailure) as exc:
+                    invert(image, bundle, fitted_model, cfg)
+            assert exc.value.iteration is not None
+            assert exc.value.iteration >= 1
 
     def test_target_shape_rejected(self, bundle, fitted_model):
         cfg = InversionConfig(target_space=SPACE_W, iterations=1)
