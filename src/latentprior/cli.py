@@ -109,12 +109,6 @@ class Command:
     runner: object  # fn(config, inputs, out: Path, threads) -> (outputs, derived)
     help: str = ""
 
-    def flag(self, name: str) -> Flag:
-        for f in self.flags:
-            if f.name == name:
-                return f
-        raise KeyError(name)
-
 
 def _dest(name: str) -> str:
     return name.replace("-", "_")
@@ -278,9 +272,18 @@ def _run_invert(config, inputs, out: Path, threads):
             {"final_image_error": result.final_image_error})
 
 
+def _read_model_latents(path, model):
+    """A latents file whose rows have the model's width."""
+    rows = read_latents(path)
+    if rows.shape[1] != model.dim:
+        raise InputFormatError(f"latents in {path} have width {rows.shape[1]}, "
+                               f"the model has dim {model.dim}")
+    return rows
+
+
 def _run_correct(config, inputs, out: Path, threads):
     model = load_model(inputs["model"])
-    rows = read_latents(inputs["latents"])
+    rows = _read_model_latents(inputs["latents"], model)
     cfg = CorrectionConfig(method=config["method"], psi=config["psi"],
                            tau=config["tau"])
     write_latents(out / "latents.lat", correct_rows(model, rows, cfg))
@@ -383,7 +386,7 @@ def _run_fid_tradeoff(config, inputs, out: Path, threads):
 def _run_pc_profile(config, inputs, out: Path, threads):
     model = load_model(inputs["model"])
     if "latents" in inputs:
-        ws = read_latents(inputs["latents"])
+        ws = _read_model_latents(inputs["latents"], model)
     else:
         vs = sample_latents(model, rng_from(config["seed"], STREAM_SAMPLES),
                             config["samples"])

@@ -90,12 +90,3 @@ def correct_rows(model: GaussianModel, rows, config: CorrectionConfig) -> np.nda
         return truncate_rows(model, arr, config.psi)
     return compress_rows(model, arr, config.tau)
 
-
-def correct_latent(model: GaussianModel, latent, config: CorrectionConfig) -> np.ndarray:
-    """Correct one latent: a (d,) style or an (s, d) stack, per style."""
-    arr = np.asarray(latent, dtype=np.float64)
-    if arr.ndim == 1:
-        return correct_rows(model, arr[None], config)[0]
-    if arr.ndim == 2:
-        return correct_rows(model, arr, config)
-    raise ValueError(f"latent must be 1-D or 2-D, got shape {arr.shape}")

@@ -29,7 +29,7 @@ from scipy.stats import norm
 
 from .correction import compress_rows, compression_threshold, to_pc, truncate_rows
 from .errors import NumericalFailure
-from .features import FeatureNet, embed, init_feature_net
+from .features import embed, init_feature_net
 from .gaussian import GaussianModel, fit_gaussian, frechet_distance
 from .generator import (
     GeneratorBundle,
@@ -197,12 +197,18 @@ class ExperimentReport:
     def endpoint_error(self, condition: str) -> float:
         return 0.5 * (self.error_at(condition, 0.0) + self.error_at(condition, 1.0))
 
-    def median_latent_error(self, condition: str) -> float:
+    def median_latent_error(self, condition: str) -> float | None:
+        """Median over the inverted targets; None when every target failed."""
         rec = self.record(condition)
+        if not rec.target_ok.any():
+            return None
         return float(np.median(rec.latent_errors[rec.target_ok]))
 
-    def mean_image_error(self, condition: str) -> float:
+    def mean_image_error(self, condition: str) -> float | None:
+        """Mean over the inverted targets; None when every target failed."""
         rec = self.record(condition)
+        if not rec.target_ok.any():
+            return None
         return float(np.mean(rec.image_errors[rec.target_ok]))
 
 
@@ -226,8 +232,10 @@ def _ground_truth(bundle: GeneratorBundle, config: InterpolationConfig,
     rng = rng_from(config.seed, STREAM_TARGETS, space_idx)
     latents = np.empty((config.n_images,) + latent_shape(space, bundle.dims))
     rows = latents.reshape(config.n_images, -1, d)  # an (n, r, d) view
+    zs = sample_z(rng, rows.shape[0] * rows.shape[1], d).reshape(rows.shape)
+    # mapped one image at a time: a larger batch rounds differently
     for i in range(config.n_images):
-        rows[i] = map_latents(bundle, np.stack([sample_z(rng, d) for _ in rows[i]]))
+        rows[i] = map_latents(bundle, zs[i])
     stacks = lift_rows(rows, s)
     return latents, stacks, synthesize_batch(bundle, stacks)
 
@@ -369,20 +377,6 @@ def lambda_sweep(bundle: GeneratorBundle, model: GaussianModel,
 
 
 # --- feature-space metrics --------------------------------------------------
-
-
-def fid_proxy(images_a, images_b, feature_net: FeatureNet) -> float:
-    """Frechet distance between Gaussian fits to the two sets' features."""
-    a = np.asarray(images_a, dtype=np.float64)
-    b = np.asarray(images_b, dtype=np.float64)
-    for name, arr in (("images_a", a), ("images_b", b)):
-        if arr.ndim != 2:
-            raise ValueError(f"{name} must be a 2-D image batch, got {arr.shape}")
-        if arr.shape[0] < 2:
-            raise ValueError(f"{name} needs at least 2 images to fit a Gaussian")
-    fa = embed(feature_net, a)
-    fb = embed(feature_net, b)
-    return frechet_distance(fit_gaussian(fa, fa), fit_gaussian(fb, fb))
 
 
 def mean_cosine(feats_a, feats_b) -> float:

@@ -260,6 +260,9 @@ def model_from_json(text: str) -> GaussianModel:
         eigvecs = np.array(doc["eigvecs"], dtype=np.float64).reshape(d, d)
         eps = float(doc["epsilon"])
         sample_count = int(doc["sample_count"])
+        if not all(np.all(np.isfinite(a))
+                   for a in (mean_v, mean_w, cov_v, eigvals, eigvecs, eps)):
+            raise ValueError("non-finite values")
         chol = np.linalg.cholesky(cov_v + eps * np.eye(d))
     except (ValueError, TypeError) as exc:
         raise InputFormatError(f"malformed model: {exc}") from exc

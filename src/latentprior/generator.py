@@ -143,28 +143,30 @@ def init_generator(seed: int, dims: GeneratorDims | None = None) -> GeneratorBun
     )
 
 
-def sample_z(seed, d: int) -> np.ndarray:
-    """Uniform draw from the unit hypersphere: normalized standard normal."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if isinstance(seed, np.random.Generator):
-        rng = seed
-    else:
-        rng = rng_from(seed, STREAM_Z)
-    while True:
-        z = rng.standard_normal(d)
-        norm = np.linalg.norm(z)
-        if norm > 1e-12:
-            return z / norm
+def sample_z(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """n uniform draws from the unit hypersphere: normalized standard normals.
+
+    Returns (n, d) rows from one (n, d) draw. A row with norm <= 1e-12 is
+    dropped and rows are drawn again until there are n; the kept rows stay
+    in stream order, so the result equals n sequential one-row draws.
+    """
+    if n < 1 or d < 1:
+        raise ValueError(f"n and d must be >= 1, got n={n}, d={d}")
+    kept = []
+    while n > 0:
+        zs = rng.standard_normal((n, d))
+        # the 1-D norm of each row; axis-wise norms round differently
+        norms = np.array([np.sqrt(z @ z) for z in zs])
+        ok = norms > 1e-12
+        kept.append(zs[ok] / norms[ok, None])
+        n -= int(np.count_nonzero(ok))
+    return np.concatenate(kept)
 
 
 def sample_styles(bundle: GeneratorBundle, seed, n: int) -> np.ndarray:
     """n mapped styles from fresh z draws; seed is an int or a Generator."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     rng = seed if isinstance(seed, np.random.Generator) else rng_from(seed, STREAM_Z)
-    zs = np.stack([sample_z(rng, bundle.dims.latent_dim) for _ in range(n)])
-    return map_latents(bundle, zs)
+    return map_latents(bundle, sample_z(rng, n, bundle.dims.latent_dim))
 
 
 def map_latents(bundle: GeneratorBundle, zs) -> np.ndarray:

@@ -49,6 +49,11 @@ _DEFAULT_ITERATIONS = {SPACE_W: 1000, SPACE_WPLUS: 10000}
 _W_STD_SEED = 7919
 _W_STD_SAMPLES = 4096
 
+# ADAM moment decays and denominator guard, the usual defaults.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class NoiseRamp:
@@ -60,13 +65,6 @@ class NoiseRamp:
             raise ValueError(f"ramp_fraction must be in (0, 1], got {self.ramp_fraction}")
         if self.initial_std_factor < 0:
             raise ValueError("initial_std_factor must be nonnegative")
-
-
-@dataclass(frozen=True)
-class AdamParams:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -82,7 +80,6 @@ class InversionConfig:
     learning_rate: float | None = None
     iterations: int | None = None
     noise_ramp: NoiseRamp = field(default_factory=NoiseRamp)
-    adam: AdamParams = field(default_factory=AdamParams)
     loss_kind: str = LOSS_PIXEL
     seed: int = 0
 
@@ -237,6 +234,9 @@ def objective_and_gradient(target_image, bundle: GeneratorBundle,
     return loss + config.prior_weight * prior, grad.reshape(shape)
 
 
+# a diverging latent overflows on its way to a non-finite loss; the isfinite
+# checks report that, so numpy's warnings would only repeat it
+@np.errstate(over="ignore", invalid="ignore")
 def invert(target_image, bundle: GeneratorBundle, model: GaussianModel,
            config: InversionConfig, init_latent=None) -> InversionResult:
     """Solve the inversion problem for one target image.
@@ -285,12 +285,16 @@ def invert(target_image, bundle: GeneratorBundle, model: GaussianModel,
             )
         loss_trace[t] = loss
         prior_trace[t] = prior
-        state, delta = adam_step(state, grad, lr, config.adam.beta1,
-                                 config.adam.beta2, config.adam.eps)
+        state, delta = adam_step(state, grad, lr, ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
         rows = rows + delta
 
     final_image = synthesize_batch(bundle, lift_rows(rows[None], bundle.dims.scales))
     final_errors, _ = loss_fn(final_image)
+    if not np.isfinite(final_errors[0]):
+        raise NumericalFailure(
+            f"inversion diverged in its last step (loss={final_errors[0]})",
+            iteration=iterations,
+        )
     return InversionResult(
         latent=rows.reshape(shape),
         loss_trace=loss_trace,

@@ -56,15 +56,6 @@ def v_to_w(v) -> np.ndarray:
     return lru(v, SLOPE_V_TO_W)
 
 
-def lerp(a, b, t: float) -> np.ndarray:
-    """Linear interpolation (1 - t) * a + t * b; exact at the endpoints."""
-    aa = np.asarray(a, dtype=np.float64)
-    bb = np.asarray(b, dtype=np.float64)
-    if aa.shape != bb.shape:
-        raise ValueError(f"shape mismatch: {aa.shape} vs {bb.shape}")
-    return (1.0 - t) * aa + t * bb
-
-
 def broadcast_style(w, scales: int) -> np.ndarray:
     """Stack one style into an (s, d) matrix of identical rows."""
     arr = np.asarray(w, dtype=np.float64)
@@ -117,6 +108,12 @@ def _as_rows(latents) -> np.ndarray:
     return arr
 
 
+def _finite(arr: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(arr)):
+        raise InputFormatError("latent container holds non-finite values")
+    return arr
+
+
 def latents_to_bytes(latents) -> bytes:
     arr = _as_rows(latents)
     rows, dim = arr.shape
@@ -136,7 +133,7 @@ def latents_from_bytes(data: bytes) -> np.ndarray:
             f"latent container size {len(data)} != expected {expected}"
         )
     flat = np.frombuffer(data, dtype="<f8", offset=16)
-    return flat.astype(np.float64).reshape(rows, dim)
+    return _finite(flat.astype(np.float64).reshape(rows, dim))
 
 
 def latents_to_json(latents) -> str:
@@ -153,7 +150,7 @@ def latents_from_json(text: str) -> np.ndarray:
         arr = np.array(doc["values"], dtype=np.float64).reshape(rows, dim)
     except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
         raise InputFormatError(f"invalid latent JSON: {exc}") from exc
-    return arr
+    return _finite(arr)
 
 
 def write_latents(path, latents) -> None:

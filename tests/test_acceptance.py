@@ -121,8 +121,7 @@ def test_criterion_03_objective_gradient_matches_fd(bundle, model):
             probes = 0
             while probes < 25:
                 w_rows = sample_styles(bundle, rng, s)
-                target_stack = map_latents(
-                    bundle, np.stack([sample_z(rng, d) for _ in range(s)]))
+                target_stack = map_latents(bundle, sample_z(rng, s, d))
                 target = synthesize(bundle, target_stack)
                 latent = w_rows[0] if space == SPACE_W else w_rows
                 stack = (broadcast_style(latent, s)
@@ -195,11 +194,8 @@ def test_criterion_05_prior_improves_latent_recovery(bundle, model):
             truths = sample_styles(bundle, rng, 20)
             stacks = np.repeat(truths[:, None, :], s, axis=1)
         else:
-            truths = np.stack([
-                map_latents(bundle,
-                            np.stack([sample_z(rng, d) for _ in range(s)]))
-                for _ in range(20)
-            ])
+            truths = np.stack([map_latents(bundle, sample_z(rng, s, d))
+                               for _ in range(20)])
             stacks = truths
         targets = synthesize_batch(bundle, stacks)
         for weight in (1e-4, 0.0):

@@ -1,11 +1,15 @@
 """Command-line interface: exit codes, config merging, and manifests."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import latentprior
 from latentprior.cli import MANIFEST_NAME, TIMING_NAME, main, replay_manifest
 from latentprior.errors import InputFormatError
 from latentprior.gaussian import load_model
@@ -20,6 +24,16 @@ from latentprior.spaces import broadcast_style, read_latents, write_latents
 
 def run(*args) -> int:
     return main([str(a) for a in args])
+
+
+def run_process(*args) -> tuple[int, str]:
+    """Run the CLI in a fresh interpreter; returns (exit code, stderr)."""
+    src = str(Path(latentprior.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-m", "latentprior.cli", *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    return proc.returncode, proc.stderr
 
 
 def manifest_of(out: Path) -> dict:
@@ -138,8 +152,10 @@ class TestExitCodes:
         lambda doc: {**doc, "epsilon": "abc"},
         lambda doc: {**doc, "sample_count": "abc"},
         lambda doc: 5,
+        lambda doc: {**doc, "mean_v": [float("nan")] + doc["mean_v"][1:]},
+        lambda doc: {**doc, "eigvals": [float("inf")] + doc["eigvals"][1:]},
     ], ids=["cov-not-positive-definite", "dim", "epsilon", "sample-count",
-            "not-an-object"])
+            "not-an-object", "nan-mean", "infinite-eigval"])
     def test_malformed_model_is_input_error(self, ws, tmp_path, capsys, corrupt):
         doc = corrupt(json.loads(ws["model"].read_text()))
         bad = tmp_path / "model.json"
@@ -159,22 +175,71 @@ class TestExitCodes:
         assert rc == 3
 
     def test_divergence_is_numeric_error(self, ws, tmp_path):
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = run("invert", "--bundle", ws["bundle"], "--model", ws["model"],
-                     "--target", ws["target"], "--learning-rate", 1e120,
-                     "--iterations", 8, "--noise-initial-std", 0,
-                     "--out", tmp_path / "o")
+        rc = run("invert", "--bundle", ws["bundle"], "--model", ws["model"],
+                 "--target", ws["target"], "--learning-rate", 1e120,
+                 "--iterations", 8, "--noise-initial-std", 0,
+                 "--out", tmp_path / "o")
         assert rc == 4
 
     def test_divergence_with_the_prior_is_numeric_error(self, ws, tmp_path, capsys):
         capsys.readouterr()
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = run("invert", "--bundle", ws["bundle"], "--model", ws["model"],
-                     "--target", ws["target"], "--lambda", 1e-4,
-                     "--learning-rate", 1e308, "--iterations", 20,
-                     "--out", tmp_path / "o")
+        rc = run("invert", "--bundle", ws["bundle"], "--model", ws["model"],
+                 "--target", ws["target"], "--lambda", 1e-4,
+                 "--learning-rate", 1e308, "--iterations", 20,
+                 "--out", tmp_path / "o")
         assert rc == 4
         assert capsys.readouterr().err.startswith("numerical failure: ")
+
+    @pytest.mark.parametrize("weight", [0, 1e-4])
+    def test_divergence_prints_one_line(self, ws, tmp_path, weight):
+        # in a fresh process, so numpy warnings would reach stderr as a user
+        # sees them
+        rc, err = run_process("invert", "--bundle", ws["bundle"],
+                              "--model", ws["model"], "--target", ws["target"],
+                              "--lambda", weight, "--learning-rate", 1e308,
+                              "--iterations", 20, "--out", tmp_path / "o")
+        assert rc == 4
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+    def test_divergence_in_the_last_step_is_numeric_error(self, ws, tmp_path):
+        # one finite step onto a non-finite latent: nothing may be written
+        out = tmp_path / "o"
+        rc = run("invert", "--bundle", ws["bundle"], "--model", ws["model"],
+                 "--target", ws["target"], "--learning-rate", 1e308,
+                 "--iterations", 1, "--out", out)
+        assert rc == 4
+        assert not (out / "result.json").exists()
+
+    @pytest.mark.parametrize("command", ["correct", "experiment pc-profile"])
+    @pytest.mark.parametrize("name", ["nan.lat", "nan.json"])
+    def test_non_finite_latents_are_input_error(self, ws, tmp_path, capsys,
+                                                command, name):
+        bad = tmp_path / name
+        rows = np.full((3, 32), np.nan)
+        if name.endswith(".json"):  # json.dumps writes NaN, json.loads reads it
+            bad.write_text(json.dumps({"rows": 3, "dim": 32,
+                                       "values": rows.ravel().tolist()}))
+        else:
+            write_latents(bad, rows)
+        capsys.readouterr()
+        rc = run(*command.split(), "--model", ws["model"], "--latents", bad,
+                 "--out", tmp_path / "o")
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("input error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["correct", "experiment pc-profile"])
+    def test_latents_of_the_wrong_width_are_input_error(self, ws, tmp_path, capsys,
+                                                        command):
+        bad = tmp_path / "narrow.lat"
+        write_latents(bad, np.ones((4, 31)))
+        capsys.readouterr()
+        rc = run(*command.split(), "--model", ws["model"], "--latents", bad,
+                 "--out", tmp_path / "o")
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("input error: ") and err.count("\n") == 1
+        assert "width 31" in err
 
     @pytest.mark.parametrize("command, weights", [
         (["experiment", "interpolation", "--spaces", "w"], "--lambdas"),
@@ -278,6 +343,23 @@ class TestConfigFile:
 
 
 class TestExperimentCommands:
+    def test_interpolation_with_every_target_failed(self, ws, tmp_path):
+        out = tmp_path / "interp"
+        rc, err = run_process("experiment", "interpolation", "--bundle", ws["bundle"],
+                              "--model", ws["model"], "--spaces", "w", "--lambdas", 0,
+                              "--images", 3, "--pairs", 2, "--iters", 20,
+                              "--learning-rate", 1e308, "--out", out)
+        assert (rc, err) == (0, "")
+
+        def no_constant(name):
+            raise ValueError(f"report.json holds {name}")
+
+        report = json.loads((out / "report.json").read_text(),
+                            parse_constant=no_constant)
+        summary = report["summary"]["w:lambda=0"]
+        assert summary["median_latent_error"] is None
+        assert summary["mean_image_error"] is None
+
     def test_interpolation_outputs(self, ws, tmp_path):
         out = tmp_path / "interp"
         rc = run("experiment", "interpolation", "--bundle", ws["bundle"],

@@ -11,7 +11,6 @@ from latentprior.correction import (
     compress_rows,
     compress_values,
     compression_threshold,
-    correct_latent,
     correct_rows,
     from_pc,
     to_pc,
@@ -194,23 +193,6 @@ class TestDispatch:
             correct_rows(model, np.zeros(model.dim), cfg)
         with pytest.raises(ValueError, match="rows"):
             correct_rows(model, np.zeros((3, model.dim + 1)), cfg)
-
-    def test_correct_latent_single_style(self, model, rows):
-        cfg = CorrectionConfig(METHOD_TRUNCATE, psi=0.5)
-        out = correct_latent(model, rows[0], cfg)
-        assert out.shape == (model.dim,)
-        npt.assert_array_equal(out, correct_rows(model, rows[:1], cfg)[0])
-
-    def test_correct_latent_stack(self, model, rows):
-        cfg = CorrectionConfig(METHOD_COMPRESS, tau=0.6)
-        stack = rows[:4]
-        out = correct_latent(model, stack, cfg)
-        assert out.shape == stack.shape
-        npt.assert_array_equal(out, correct_rows(model, stack, cfg))
-
-    def test_correct_latent_rejects_3d(self, model):
-        with pytest.raises(ValueError, match="1-D or 2-D"):
-            correct_latent(model, np.zeros((2, 3, model.dim)), CorrectionConfig())
 
 
 class TestThreshold:

@@ -204,6 +204,18 @@ class TestSerialization:
         with pytest.raises(InputFormatError):
             gaussian.model_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("key", ["mean_v", "mean_w", "cov_v", "eigvals",
+                                     "eigvecs", "epsilon"])
+    def test_non_finite_values_rejected(self, small_model, key):
+        import json
+        doc = json.loads(gaussian.model_to_json(small_model[0]))
+        if key == "epsilon":
+            doc[key] = float("nan")
+        else:
+            doc[key][0] = float("inf")
+        with pytest.raises(InputFormatError, match="non-finite"):
+            gaussian.model_from_json(json.dumps(doc))
+
     def test_garbage_rejected(self):
         with pytest.raises(InputFormatError):
             gaussian.model_from_json("not json at all {")

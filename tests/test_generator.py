@@ -45,27 +45,71 @@ class TestInit:
         assert bundle.synthesis.out_proj.shape == (3, dims.channels)
 
 
+class _FixedStream:
+    """standard_normal that hands out a fixed value sequence in order."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64).ravel()
+        self.used = 0
+
+    def standard_normal(self, shape):
+        size = int(np.prod(shape))
+        out = self.values[self.used:self.used + size]
+        self.used += size
+        return out.reshape(shape)
+
+
 class TestSampling:
     def test_sample_z_unit_norm(self):
-        z = generator.sample_z(3, 16)
-        assert np.linalg.norm(z) == pytest.approx(1.0, rel=1e-12)
+        zs = generator.sample_z(np.random.default_rng(3), 5, 16)
+        assert zs.shape == (5, 16)
+        np.testing.assert_allclose(np.linalg.norm(zs, axis=1), 1.0, rtol=1e-12)
 
     def test_sample_z_deterministic(self):
-        assert np.array_equal(generator.sample_z(3, 16),
-                              generator.sample_z(3, 16))
+        assert np.array_equal(generator.sample_z(np.random.default_rng(3), 4, 16),
+                              generator.sample_z(np.random.default_rng(3), 4, 16))
+
+    def test_sample_z_equals_one_row_draws(self):
+        # one (n, d) draw is bitwise n sequential one-row draws, and leaves
+        # the stream where they leave it
+        batch_rng, row_rng = np.random.default_rng(8), np.random.default_rng(8)
+        zs = generator.sample_z(batch_rng, 200, 32)
+        rows = np.concatenate([generator.sample_z(row_rng, 1, 32) for _ in range(200)])
+        assert np.array_equal(zs, rows)
+        ref = np.random.default_rng(8)  # the one-row loop sample_z replaced
+        for z in zs:
+            r = ref.standard_normal(32)
+            assert np.array_equal(z, r / np.linalg.norm(r))
+        assert batch_rng.standard_normal() == row_rng.standard_normal()
+
+    @pytest.mark.parametrize("zero_row", [0, 1])
+    def test_sample_z_redraws_a_zero_row_in_stream_order(self, zero_row):
+        d = 6
+        values = np.random.default_rng(4).standard_normal((5, d))
+        values[zero_row] = 0.0
+        stream = _FixedStream(values)
+        zs = generator.sample_z(stream, 3, d)
+        kept = np.delete(values, zero_row, axis=0)[:3]
+        assert np.array_equal(zs, np.stack([k / np.linalg.norm(k) for k in kept]))
+        assert stream.used == 4 * d  # three kept rows and the dropped one
+        one_row = _FixedStream(values)
+        rows = np.concatenate([generator.sample_z(one_row, 1, d) for _ in range(3)])
+        assert np.array_equal(zs, rows) and one_row.used == stream.used
+
+    def test_sample_z_rejects_empty_shapes(self, rng):
+        for n, d in ((0, 4), (3, 0)):
+            with pytest.raises(ValueError, match="must be >= 1"):
+                generator.sample_z(rng, n, d)
 
     def test_sample_styles_matches_map_of_z(self, bundle):
         from latentprior.seeding import STREAM_Z, rng_from
         ws = generator.sample_styles(bundle, 12, 3)
-        rng = rng_from(12, STREAM_Z)
-        zs = np.stack([generator.sample_z(rng, bundle.dims.latent_dim)
-                       for _ in range(3)])
+        zs = generator.sample_z(rng_from(12, STREAM_Z), 3, bundle.dims.latent_dim)
         assert np.array_equal(ws, generator.map_latents(bundle, zs))
 
     def test_map_latent_single_equals_batch(self, bundle):
         # row i of a batch equals that row mapped alone, as a batch of one
-        zs = np.stack([generator.sample_z(5 + i, bundle.dims.latent_dim)
-                       for i in range(3)])
+        zs = generator.sample_z(np.random.default_rng(5), 3, bundle.dims.latent_dim)
         batch = generator.map_latents(bundle, zs)
         for i in range(3):
             np.testing.assert_allclose(

@@ -360,11 +360,21 @@ class TestInvert:
                 target_space=SPACE_W, prior_weight=weight, learning_rate=lr,
                 iterations=10, noise_ramp=NoiseRamp(initial_std_factor=0.0),
             )
-            with np.errstate(over="ignore", invalid="ignore"):
-                with pytest.raises(NumericalFailure) as exc:
-                    invert(image, bundle, fitted_model, cfg)
+            with pytest.raises(NumericalFailure) as exc:
+                invert(image, bundle, fitted_model, cfg)
             assert exc.value.iteration is not None
             assert exc.value.iteration >= 1
+
+    @pytest.mark.parametrize("weight", [0.0, 1e-4])
+    def test_divergence_in_the_last_step_raises(self, bundle, fitted_model, target,
+                                                weight):
+        # the one step is finite, the latent it lands on is not
+        _, _, image = target
+        cfg = InversionConfig(target_space=SPACE_W, prior_weight=weight,
+                              learning_rate=1e308, iterations=1)
+        with pytest.raises(NumericalFailure) as exc:
+            invert(image, bundle, fitted_model, cfg)
+        assert exc.value.iteration == 1
 
     def test_target_shape_rejected(self, bundle, fitted_model):
         cfg = InversionConfig(target_space=SPACE_W, iterations=1)

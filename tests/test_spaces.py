@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -60,25 +61,6 @@ class TestMaps:
         w = np.array([1.5, -2.0])
         v = spaces.w_to_v(w)
         assert v[0] == 1.5 and v[1] == -10.0
-
-
-class TestLerp:
-    def test_endpoints_exact(self, rng):
-        a, b = rng.standard_normal(12), rng.standard_normal(12)
-        assert np.array_equal(spaces.lerp(a, b, 0.0), a)
-        assert np.array_equal(spaces.lerp(a, b, 1.0), b)
-
-    def test_midpoint(self):
-        assert spaces.lerp(np.array([2.0]), np.array([4.0]), 0.5)[0] == 3.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            spaces.lerp(np.zeros(3), np.zeros(4), 0.5)
-
-    def test_elementwise_on_stacks(self, rng):
-        a, b = rng.standard_normal((4, 8)), rng.standard_normal((4, 8))
-        got = spaces.lerp(a, b, 0.25)
-        np.testing.assert_allclose(got, 0.75 * a + 0.25 * b)
 
 
 class TestBroadcastStyle:
@@ -149,6 +131,17 @@ class TestLatentContainers:
     def test_bad_json_rejected(self):
         with pytest.raises(InputFormatError):
             spaces.latents_from_json('{"rows": 2}')
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, rng, bad):
+        arr = rng.standard_normal((2, 4))
+        arr[1, 2] = bad
+        with pytest.raises(InputFormatError, match="non-finite"):
+            spaces.latents_from_bytes(spaces.latents_to_bytes(arr))
+        # json.dumps writes NaN and Infinity, which json.loads reads back
+        text = json.dumps({"rows": 2, "dim": 4, "values": arr.ravel().tolist()})
+        with pytest.raises(InputFormatError, match="non-finite"):
+            spaces.latents_from_json(text)
 
     def test_file_round_trip_both_formats(self, tmp_path, rng):
         arr = rng.standard_normal((4, 6))
