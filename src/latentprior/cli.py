@@ -10,6 +10,8 @@ thread counts, so re-running a command from its manifest (replay_manifest)
 reproduces every output byte for byte at any --threads value. Wall-clock
 duration goes to a separate timing.json. A --config JSON file may supply
 any subset of a command's settings, with explicit flags taking precedence.
+Flags, --config and a replayed manifest are checked by one resolver, and
+the runners get their input files already loaded and checked to fit.
 
 Exit codes: 0 success, 2 bad arguments, 3 input-format error,
 4 numerical failure.
@@ -104,87 +106,106 @@ class Flag:
 class Command:
     name: str
     flags: tuple[Flag, ...]
-    required_inputs: tuple[str, ...]
-    optional_inputs: tuple[str, ...]
-    runner: object  # fn(config, inputs, out: Path, threads) -> (outputs, derived)
+    runner: object  # fn(config, loaded inputs, out: Path, threads) -> (outputs, derived)
+    required_inputs: tuple[str, ...] = ()
+    optional_inputs: tuple[str, ...] = ()
     help: str = ""
 
 
-def _dest(name: str) -> str:
-    return name.replace("-", "_")
+def floats(value) -> list:
+    """A comma-separated string or a list, as floats."""
+    if isinstance(value, str):
+        value = [v for v in value.split(",") if v != ""]
+    return [float(v) for v in value]
+
+
+def strs(value) -> list:
+    """A comma-separated string or a list, as strings."""
+    if isinstance(value, str):
+        value = [v for v in value.split(",") if v != ""]
+    return [str(v) for v in value]
+
+
+def _boolean(value) -> bool:
+    if isinstance(value, bool):
+        return value
+    raise ValueError("expected a boolean")
+
+
+# Flag.kind -> the one function that parses a flag, --config or manifest value
+_KINDS = {"int": int, "float": float, "str": str, "floats": floats,
+          "strs": strs, "bool": _boolean}
 
 
 def _parse_value(flag: Flag, value):
     """Normalize a flag/config value to its JSON-friendly resolved form."""
-    if value is None:
+    if value is None and flag.default is None:
         return None
     try:
-        if flag.kind == "int":
-            return int(value)
-        if flag.kind == "float":
-            return float(value)
-        if flag.kind == "str":
-            value = str(value)
-        if flag.kind == "bool":
-            if isinstance(value, bool):
-                return value
-            raise ValueError(f"expected a boolean for {flag.name}")
-        if flag.kind == "floats":
-            if isinstance(value, str):
-                value = [v for v in value.split(",") if v != ""]
-            return [float(v) for v in value]
-        if flag.kind == "strs":
-            if isinstance(value, str):
-                value = [v for v in value.split(",") if v != ""]
-            value = [str(v) for v in value]
-    except (TypeError, ValueError) as exc:
+        value = _KINDS[flag.kind](value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"invalid value for {flag.name}: {value!r} ({exc})") from exc
-    if flag.choices is not None:
-        items = value if isinstance(value, list) else [value]
-        for item in items:
-            if item not in flag.choices:
-                raise UsageError(
-                    f"invalid value {item!r} for {flag.name}; "
-                    f"choices are {list(flag.choices)}"
-                )
+    for item in value if isinstance(value, list) else [value]:
+        if flag.choices is not None and item not in flag.choices:
+            raise UsageError(f"invalid value {item!r} for {flag.name}; "
+                             f"choices are {list(flag.choices)}")
     return value
 
 
-def _resolve(cmd: Command, args: argparse.Namespace):
-    """Merge flags over an optional --config file over defaults."""
-    doc = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"invalid config JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise InputFormatError("config file must hold a JSON object")
-        known = {f.name for f in cmd.flags}
-        known |= set(cmd.required_inputs) | set(cmd.optional_inputs)
-        unknown = sorted(set(doc) - known)
-        if unknown:
-            raise UsageError(f"unknown config keys for {cmd.name}: {unknown}")
+def _read_object(path, what: str) -> dict:
+    """The JSON object a settings file holds."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise InputFormatError(f"invalid {what} JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputFormatError(f"{what} file must hold a JSON object")
+    return doc
 
-    config = {}
-    for flag in cmd.flags:
-        value = getattr(args, _dest(flag.name))
-        if value is None:
-            value = doc.get(flag.name, flag.default)
-        config[flag.name] = _parse_value(flag, value)
 
-    inputs = {}
-    for name in cmd.required_inputs + cmd.optional_inputs:
-        value = getattr(args, _dest(name), None)
-        if value is None:
-            value = doc.get(name)
-        if value is None:
-            if name in cmd.required_inputs:
-                raise UsageError(f"{cmd.name} requires --{name}")
-            continue
-        inputs[name] = str(value)
+def _resolve(cmd: Command, given: dict, doc: dict):
+    """Merge given flag values over a settings document over the defaults."""
+    names = cmd.required_inputs + cmd.optional_inputs
+    unknown = sorted(set(doc) - {f.name for f in cmd.flags} - set(names))
+    if unknown:
+        raise UsageError(f"unknown config keys for {cmd.name}: {unknown}")
+
+    def pick(name, default=None):
+        value = given.get(name)
+        return doc.get(name, default) if value is None else value
+
+    config = {f.name: _parse_value(f, pick(f.name, f.default)) for f in cmd.flags}
+    inputs = {name: str(path) for name in names if (path := pick(name)) is not None}
+    for name in cmd.required_inputs:
+        if name not in inputs:
+            raise UsageError(f"{cmd.name} requires --{name}")
     return config, inputs
+
+
+def _load(inputs: dict) -> dict:
+    """Read each input file by its name and check once that they fit together."""
+    readers = {"bundle": load_bundle, "target-bundle": load_bundle,
+               "model": load_model, "latents": read_latents}
+    loaded = {name: readers[name](path) for name, path in inputs.items()
+              if name != "target"}
+    bundle, model = loaded.get("bundle"), loaded.get("model")
+    if "target" in inputs:
+        loaded["target"] = read_image_f64(inputs["target"], bundle.dims.pixels)
+    if bundle is not None and model is not None \
+            and model.dim != bundle.dims.latent_dim:
+        raise InputFormatError(
+            f"the model in {inputs['model']} has dim {model.dim}, the generator "
+            f"in {inputs['bundle']} has latent dim {bundle.dims.latent_dim}")
+    if "target-bundle" in loaded and loaded["target-bundle"].dims != bundle.dims:
+        raise InputFormatError(
+            f"the generator in {inputs['target-bundle']} has other dims than "
+            f"the one in {inputs['bundle']}")
+    if "latents" in loaded and loaded["latents"].shape[1] != model.dim:
+        raise InputFormatError(
+            f"latents in {inputs['latents']} have width "
+            f"{loaded['latents'].shape[1]}, the model has dim {model.dim}")
+    return loaded
 
 
 def _execute(cmd: Command, config: dict, inputs: dict, out: Path,
@@ -193,7 +214,7 @@ def _execute(cmd: Command, config: dict, inputs: dict, out: Path,
         raise UsageError(f"--threads must be >= 1, got {threads}")
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    outputs, derived = cmd.runner(config, inputs, out, threads)
+    outputs, derived = cmd.runner(config, _load(inputs), out, threads)
     duration = time.perf_counter() - start
     manifest = {
         "command": cmd.name,
@@ -211,18 +232,27 @@ def _execute(cmd: Command, config: dict, inputs: dict, out: Path,
 
 def replay_manifest(manifest_path, out_dir, threads: int = 1) -> None:
     """Re-execute the command a manifest records, writing into ``out_dir``."""
-    try:
-        with open(manifest_path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"invalid manifest JSON: {exc}") from exc
+    doc = _read_object(manifest_path, "manifest")
     for key in ("command", "config", "inputs"):
         if key not in doc:
             raise InputFormatError(f"manifest is missing the {key!r} field")
-    cmd = _COMMANDS.get(doc["command"])
+    cmd = _COMMANDS.get(str(doc["command"]))
     if cmd is None:
         raise InputFormatError(f"manifest names unknown command {doc['command']!r}")
-    _execute(cmd, doc["config"], doc["inputs"], Path(out_dir), threads)
+    if doc.get("version") != __version__:
+        raise InputFormatError(f"manifest has version {doc.get('version')!r}, "
+                               f"not {__version__!r}")
+    config, inputs = doc["config"], doc["inputs"]
+    if not (isinstance(config, dict) and isinstance(inputs, dict)):
+        raise InputFormatError("manifest config and inputs must be JSON objects")
+    missing = [f.name for f in cmd.flags if f.name not in config]
+    if missing:
+        raise InputFormatError(f"manifest config lacks the settings {missing}")
+    try:
+        config, inputs = _resolve(cmd, {}, {**config, **inputs})
+    except UsageError as exc:
+        raise InputFormatError(f"manifest: {exc}") from exc
+    _execute(cmd, config, inputs, Path(out_dir), threads)
 
 
 # --- runners ------------------------------------------------------------------
@@ -237,20 +267,17 @@ def _run_init_gan(config, inputs, out: Path, threads):
 
 
 def _run_fit_prior(config, inputs, out: Path, threads):
-    bundle = load_bundle(inputs["bundle"])
     n = config["samples"]
     if n < 2:
         raise UsageError(f"--samples must be >= 2 to fit a covariance, got {n}")
-    ws = sample_styles(bundle, rng_from(config["seed"], STREAM_FIT), n)
+    ws = sample_styles(inputs["bundle"], rng_from(config["seed"], STREAM_FIT), n)
     model = fit_gaussian(w_to_v(ws), ws)
     save_model(model, out / "model.json")
     return ["model.json"], {}
 
 
 def _run_invert(config, inputs, out: Path, threads):
-    bundle = load_bundle(inputs["bundle"])
-    model = load_model(inputs["model"])
-    target = read_image_f64(inputs["target"], bundle.dims.pixels)
+    bundle = inputs["bundle"]
     cfg = InversionConfig(
         target_space=config["space"],
         prior_weight=config["lambda"],
@@ -263,7 +290,7 @@ def _run_invert(config, inputs, out: Path, threads):
         loss_kind=config["loss"],
         seed=config["seed"],
     )
-    result = invert(target, bundle, model, cfg)
+    result = invert(inputs["target"], bundle, inputs["model"], cfg)
     (out / "result.json").write_text(result_to_json(result, cfg))
     write_latents(out / "latent.lat", result.latent.reshape(-1, bundle.dims.latent_dim))
     write_image_f64(out / "recon.f64", result.final_image)
@@ -272,18 +299,8 @@ def _run_invert(config, inputs, out: Path, threads):
             {"final_image_error": result.final_image_error})
 
 
-def _read_model_latents(path, model):
-    """A latents file whose rows have the model's width."""
-    rows = read_latents(path)
-    if rows.shape[1] != model.dim:
-        raise InputFormatError(f"latents in {path} have width {rows.shape[1]}, "
-                               f"the model has dim {model.dim}")
-    return rows
-
-
 def _run_correct(config, inputs, out: Path, threads):
-    model = load_model(inputs["model"])
-    rows = _read_model_latents(inputs["latents"], model)
+    model, rows = inputs["model"], inputs["latents"]
     cfg = CorrectionConfig(method=config["method"], psi=config["psi"],
                            tau=config["tau"])
     write_latents(out / "latents.lat", correct_rows(model, rows, cfg))
@@ -307,40 +324,34 @@ def _interp_config(config) -> InterpolationConfig:
     )
 
 
-def _run_interpolation(config, inputs, out: Path, threads):
-    bundle = load_bundle(inputs["bundle"])
-    model = load_model(inputs["model"])
-    target_bundle = (load_bundle(inputs["target-bundle"])
-                     if "target-bundle" in inputs else None)
-    report = interpolation_experiment(bundle, model, _interp_config(config),
-                                      target_bundle=target_bundle,
-                                      threads=threads)
-    outputs = ["report.json"]
-    (out / "report.json").write_text(report_to_json(report))
+def _write_report(out: Path, name: str, report) -> list:
+    """The report and one curve CSV per condition; returns their file names."""
+    (out / name).write_text(report_to_json(report))
+    names = [name]
     for c in report.conditions:
-        name = condition_filename(c)
-        (out / name).write_text(curve_csv(report, c))
-        outputs.append(name)
-    return outputs, {}
+        names.append(condition_filename(c))
+        (out / names[-1]).write_text(curve_csv(report, c))
+    return names
+
+
+def _run_interpolation(config, inputs, out: Path, threads):
+    report = interpolation_experiment(inputs["bundle"], inputs["model"],
+                                      _interp_config(config),
+                                      target_bundle=inputs.get("target-bundle"),
+                                      threads=threads)
+    return _write_report(out, "report.json", report), {}
 
 
 def _run_lambda_sweep(config, inputs, out: Path, threads):
-    bundle = load_bundle(inputs["bundle"])
-    model = load_model(inputs["model"])
     grid = config["grid"]
     base = _interp_config({**config, "lambdas": grid})
-    reports = lambda_sweep(bundle, model, base, grid, threads=threads)
+    reports = lambda_sweep(inputs["bundle"], inputs["model"], base, grid,
+                           threads=threads)
     outputs = []
     summary = {space: {"endpoint": [], "midpoint": []}
                for space in base.spaces}
     for lam, report in reports.items():
-        name = f"report_lambda-{lam:g}.json"
-        (out / name).write_text(report_to_json(report))
-        outputs.append(name)
-        for c in report.conditions:
-            cname = condition_filename(c)
-            (out / cname).write_text(curve_csv(report, c))
-            outputs.append(cname)
+        outputs += _write_report(out, f"report_lambda-{lam:g}.json", report)
         for space in base.spaces:
             label = condition_label(space, lam)
             summary[space]["endpoint"].append(report.endpoint_error(label))
@@ -353,8 +364,6 @@ def _run_lambda_sweep(config, inputs, out: Path, threads):
 
 
 def _run_fid_tradeoff(config, inputs, out: Path, threads):
-    bundle = load_bundle(inputs["bundle"])
-    model = load_model(inputs["model"])
     cfg = TradeoffConfig(
         psis=tuple(config["psis"]),
         n_samples=config["samples"],
@@ -365,7 +374,7 @@ def _run_fid_tradeoff(config, inputs, out: Path, threads):
         max_bisect=config["max-bisect"],
         seed=config["seed"],
     )
-    report = fid_tradeoff(bundle, model, cfg, threads=threads)
+    report = fid_tradeoff(inputs["bundle"], inputs["model"], cfg, threads=threads)
     (out / "tradeoff.json").write_text(tradeoff_to_json(report))
     lines = ["psi,tau,fid_truncation,fid_compression,matched,"
              "identity_truncation,identity_compression,"
@@ -384,13 +393,11 @@ def _run_fid_tradeoff(config, inputs, out: Path, threads):
 
 
 def _run_pc_profile(config, inputs, out: Path, threads):
-    model = load_model(inputs["model"])
-    if "latents" in inputs:
-        ws = _read_model_latents(inputs["latents"], model)
-    else:
-        vs = sample_latents(model, rng_from(config["seed"], STREAM_SAMPLES),
-                            config["samples"])
-        ws = v_to_w(vs)
+    model = inputs["model"]
+    ws = inputs.get("latents")
+    if ws is None:
+        ws = v_to_w(sample_latents(model, rng_from(config["seed"], STREAM_SAMPLES),
+                                   config["samples"]))
     k = config["k"] if config["k"] is not None else min(30, model.dim)
     config["k"] = k
     profile = pc_magnitude_profile(ws, model, k, config["tau"])
@@ -412,8 +419,7 @@ def _run_pc_profile(config, inputs, out: Path, threads):
 # --- command registry ---------------------------------------------------------
 
 
-def _seed_flag() -> Flag:
-    return Flag("seed", "int", 0, help="base seed; all streams derive from it")
+_SEED = Flag("seed", "int", 0, help="base seed; all streams derive from it")
 
 
 _COMMANDS = {}
@@ -426,12 +432,10 @@ def _register(cmd: Command) -> None:
 _register(Command(
     name="init-gan",
     flags=(
-        _seed_flag(),
+        _SEED,
         *(Flag(f.name.replace("_", "-"), "int", f.default)
           for f in fields(GeneratorDims)),
     ),
-    required_inputs=(),
-    optional_inputs=(),
     runner=_run_init_gan,
     help="create a generator bundle from a seed",
 ))
@@ -439,11 +443,10 @@ _register(Command(
 _register(Command(
     name="fit-prior",
     flags=(
-        _seed_flag(),
+        _SEED,
         Flag("samples", "int", 100000, help="number of mapped styles to fit on"),
     ),
     required_inputs=("bundle",),
-    optional_inputs=(),
     runner=_run_fit_prior,
     help="fit the Gaussian model of the corrected latent space",
 ))
@@ -451,7 +454,7 @@ _register(Command(
 _register(Command(
     name="invert",
     flags=(
-        _seed_flag(),
+        _SEED,
         Flag("space", "str", InversionConfig.target_space,
              choices=(SPACE_W, SPACE_WPLUS)),
         Flag("lambda", "float", InversionConfig.prior_weight, help="prior weight"),
@@ -463,7 +466,6 @@ _register(Command(
         Flag("noise-ramp-fraction", "float", NoiseRamp.ramp_fraction),
     ),
     required_inputs=("bundle", "model", "target"),
-    optional_inputs=(),
     runner=_run_invert,
     help="recover the latent behind a target image",
 ))
@@ -477,15 +479,14 @@ _register(Command(
         Flag("tau", "float", CorrectionConfig.tau),
     ),
     required_inputs=("model", "latents"),
-    optional_inputs=(),
     runner=_run_correct,
     help="apply truncation or compression to a latent file",
 ))
 
 _INTERP_FLAGS = (
-    _seed_flag(),
+    _SEED,
     Flag("spaces", "strs", InterpolationConfig.spaces,
-         choices=(SPACE_W, SPACE_WPLUS)),
+         choices=(SPACE_W, SPACE_WPLUS), help="comma-separated list"),
     Flag("images", "int", InterpolationConfig.n_images, help="target pool size"),
     Flag("pairs", "int", InterpolationConfig.n_pairs),
     Flag("iters", "int", InterpolationConfig.iterations,
@@ -512,11 +513,11 @@ _register(Command(
 _register(Command(
     name="experiment lambda-sweep",
     flags=tuple(f for f in _INTERP_FLAGS if f.name != "spaces") + (
-        Flag("spaces", "strs", [SPACE_WPLUS], choices=(SPACE_W, SPACE_WPLUS)),
-        Flag("grid", "floats", DEFAULT_LAMBDA_GRID),
+        Flag("spaces", "strs", [SPACE_WPLUS], choices=(SPACE_W, SPACE_WPLUS),
+             help="comma-separated list"),
+        Flag("grid", "floats", DEFAULT_LAMBDA_GRID, help="comma-separated list"),
     ),
     required_inputs=("bundle", "model"),
-    optional_inputs=(),
     runner=_run_lambda_sweep,
     help="interpolation experiment over a grid of prior weights",
 ))
@@ -524,8 +525,8 @@ _register(Command(
 _register(Command(
     name="experiment fid-tradeoff",
     flags=(
-        _seed_flag(),
-        Flag("psis", "floats", TradeoffConfig.psis),
+        _SEED,
+        Flag("psis", "floats", TradeoffConfig.psis, help="comma-separated list"),
         Flag("samples", "int", TradeoffConfig.n_samples),
         Flag("identity-samples", "int", TradeoffConfig.n_identity),
         Flag("tau-lo", "float", TradeoffConfig.tau_lo),
@@ -534,7 +535,6 @@ _register(Command(
         Flag("max-bisect", "int", TradeoffConfig.max_bisect),
     ),
     required_inputs=("bundle", "model"),
-    optional_inputs=(),
     runner=_run_fid_tradeoff,
     help="truncation vs compression at matched feature distance",
 ))
@@ -542,7 +542,7 @@ _register(Command(
 _register(Command(
     name="experiment pc-profile",
     flags=(
-        _seed_flag(),
+        _SEED,
         Flag("samples", "int", 10000,
              help="model samples to profile when no --latents file is given"),
         Flag("k", "int", None, help="leading components to report (default 30)"),
@@ -558,24 +558,25 @@ _register(Command(
 # --- argparse wiring ----------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Flags spelled in full only; a bad command line prints one line."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def _add_flags(parser: argparse.ArgumentParser, cmd: Command) -> None:
     for flag in cmd.flags:
-        name = f"--{flag.name}"
-        if flag.kind == "bool":
-            parser.add_argument(name, action=argparse.BooleanOptionalAction,
-                                default=None, help=flag.help)
-        elif flag.kind in ("floats", "strs"):
-            parser.add_argument(name, type=str, default=None,
-                                help=flag.help or "comma-separated list")
-        elif flag.kind == "int":
-            parser.add_argument(name, type=int, default=None, help=flag.help)
-        elif flag.kind == "float":
-            parser.add_argument(name, type=float, default=None, help=flag.help)
-        else:
-            parser.add_argument(name, type=str, default=None, help=flag.help)
+        parse = ({"action": argparse.BooleanOptionalAction} if flag.kind == "bool"
+                 else {"type": _KINDS[flag.kind]})
+        parser.add_argument(f"--{flag.name}", dest=flag.name, default=None,
+                            help=flag.help, **parse)
     for name in cmd.required_inputs + cmd.optional_inputs:
         required = "" if name in cmd.required_inputs else " (optional)"
-        parser.add_argument(f"--{name}", type=str, default=None,
+        parser.add_argument(f"--{name}", dest=name, type=str, default=None,
                             help=f"input path{required}")
     parser.add_argument("--out", type=str, required=True,
                         help="output directory")
@@ -586,7 +587,7 @@ def _add_flags(parser: argparse.ArgumentParser, cmd: Command) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latentprior",
         description="Gaussian latent priors for inversion and artifact "
                     "correction on a toy style-based generator.",
@@ -611,22 +612,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     cmd = _COMMANDS[args.command_key]
     try:
-        config, inputs = _resolve(cmd, args)
+        doc = _read_object(args.config, "config") if args.config else {}
+        config, inputs = _resolve(cmd, vars(args), doc)
         _execute(cmd, config, inputs, Path(args.out), args.threads)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except InputFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -174,28 +174,30 @@ class ExperimentReport:
         return self.records[condition]
 
     def curve(self, condition: str):
-        """Per-t (mean, std) of the interpolation error over kept pairs."""
+        """Per-t (mean, std) of the interpolation error over kept pairs;
+        None when no pair was kept."""
         rec = self.record(condition)
         kept = rec.pair_errors[rec.pair_ok]
         if kept.shape[0] == 0:
-            n_t = len(self.t_grid)
-            return np.zeros(n_t), np.zeros(n_t)
+            return None
         mean = kept.mean(axis=0)
         std = kept.std(axis=0, ddof=1) if kept.shape[0] >= 2 else np.zeros_like(mean)
         return mean, std
 
-    def error_at(self, condition: str, t: float) -> float:
+    def error_at(self, condition: str, t: float) -> float | None:
         try:
             ti = self.t_grid.index(float(t))
         except ValueError:
             raise ValueError(f"t = {t} is not on the grid {self.t_grid}") from None
-        return float(self.curve(condition)[0][ti])
+        curve = self.curve(condition)
+        return None if curve is None else float(curve[0][ti])
 
-    def midpoint_error(self, condition: str) -> float:
+    def midpoint_error(self, condition: str) -> float | None:
         return self.error_at(condition, 0.5)
 
-    def endpoint_error(self, condition: str) -> float:
-        return 0.5 * (self.error_at(condition, 0.0) + self.error_at(condition, 1.0))
+    def endpoint_error(self, condition: str) -> float | None:
+        start, end = self.error_at(condition, 0.0), self.error_at(condition, 1.0)
+        return None if start is None else 0.5 * (start + end)
 
     def median_latent_error(self, condition: str) -> float | None:
         """Median over the inverted targets; None when every target failed."""
@@ -619,8 +621,9 @@ def report_to_json(report: ExperimentReport) -> str:
     }
     for c in report.conditions:
         rec = report.record(c)
-        mean, std = report.curve(c)
-        doc["curves"][c] = {"mean": mean.tolist(), "std": std.tolist()}
+        curve = report.curve(c)
+        doc["curves"][c] = (None if curve is None else
+                            {"mean": curve[0].tolist(), "std": curve[1].tolist()})
         doc["summary"][c] = {
             "median_latent_error": report.median_latent_error(c),
             "mean_image_error": report.mean_image_error(c),
@@ -642,11 +645,13 @@ def report_to_json(report: ExperimentReport) -> str:
 
 
 def curve_csv(report: ExperimentReport, condition: str) -> str:
-    """One curve as CSV: t, mean_error, std_error, condition."""
-    mean, std = report.curve(condition)
+    """One curve as CSV: t, mean_error, std_error, condition; only the
+    header when no pair was kept."""
+    curve = report.curve(condition)
     lines = ["t,mean_error,std_error,condition"]
-    for t, m, s in zip(report.t_grid, mean, std):
-        lines.append(f"{t:g},{float(m)!r},{float(s)!r},{condition}")
+    if curve is not None:
+        for t, m, s in zip(report.t_grid, *curve):
+            lines.append(f"{t:g},{float(m)!r},{float(s)!r},{condition}")
     return "\n".join(lines) + "\n"
 
 

@@ -240,10 +240,10 @@ def model_to_json(model: GaussianModel) -> str:
     return "{\n  " + ",\n  ".join(parts) + "\n}\n"
 
 
-def model_from_json(text: str) -> GaussianModel:
+def model_from_json(text: str | bytes) -> GaussianModel:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputFormatError(f"invalid model JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputFormatError("model JSON must hold an object")
@@ -285,5 +285,5 @@ def save_model(model: GaussianModel, path) -> None:
 
 
 def load_model(path) -> GaussianModel:
-    with open(path) as fh:
+    with open(path, "rb") as fh:  # decoded by json.loads, inside its try
         return model_from_json(fh.read())

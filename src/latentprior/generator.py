@@ -292,7 +292,7 @@ def bundle_to_json(bundle: GeneratorBundle) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def bundle_from_json(text: str) -> GeneratorBundle:
+def bundle_from_json(text: str | bytes) -> GeneratorBundle:
     try:
         doc = json.loads(text)
         seed = int(doc["seed"])
@@ -308,7 +308,7 @@ def save_bundle(bundle: GeneratorBundle, path) -> None:
 
 
 def load_bundle(path) -> GeneratorBundle:
-    with open(path) as fh:
+    with open(path, "rb") as fh:  # decoded by json.loads, inside its try
         return bundle_from_json(fh.read())
 
 
@@ -332,6 +332,8 @@ def image_from_f64_bytes(data: bytes, pixels: int | None = None) -> np.ndarray:
         raise InputFormatError(
             f"raw image has {flat.size} values, expected {pixels}"
         )
+    if not np.all(np.isfinite(flat)):
+        raise InputFormatError("raw image holds non-finite values")
     return flat
 
 

@@ -146,9 +146,12 @@ def latents_to_json(latents) -> str:
 def latents_from_json(text: str) -> np.ndarray:
     try:
         doc = json.loads(text)
-        rows, dim = int(doc["rows"]), int(doc["dim"])
+        rows, dim = doc["rows"], doc["dim"]
+        if not all(type(n) is int and n >= 0 for n in (rows, dim)):
+            raise ValueError("rows and dim must be non-negative integers")
         arr = np.array(doc["values"], dtype=np.float64).reshape(rows, dim)
-    except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+    except (json.JSONDecodeError, KeyError, ValueError, TypeError,
+            OverflowError) as exc:
         raise InputFormatError(f"invalid latent JSON: {exc}") from exc
     return _finite(arr)
 

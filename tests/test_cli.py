@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 
 import latentprior
-from latentprior.cli import MANIFEST_NAME, TIMING_NAME, main, replay_manifest
+from latentprior.cli import (
+    _COMMANDS,
+    MANIFEST_NAME,
+    TIMING_NAME,
+    _resolve,
+    main,
+    replay_manifest,
+)
 from latentprior.errors import InputFormatError
 from latentprior.gaussian import load_model
 from latentprior.generator import (
@@ -58,12 +65,14 @@ def ws(tmp_path_factory):
 
     latents_path = root / "latents.lat"
     write_latents(latents_path, sample_styles(bundle, 55, 6))
+    assert run("init-gan", "--latent-dim", 16, "--out", root / "gan16") == 0
     return {
         "root": root,
         "bundle": bundle_path,
         "model": model_path,
         "target": target_path,
         "latents": latents_path,
+        "bundle16": root / "gan16" / "bundle.json",
     }
 
 
@@ -269,6 +278,72 @@ class TestExitCodes:
     def test_unreachable_image_size_is_usage(self, tmp_path):
         assert run("init-gan", "--image-size", 10, "--out", tmp_path / "o") == 2
 
+    @pytest.mark.parametrize("command", [
+        ["invert", "--target", "TARGET"],
+        ["experiment", "interpolation"],
+        ["experiment", "lambda-sweep"],
+        ["experiment", "fid-tradeoff"],
+    ], ids=["invert", "interpolation", "lambda-sweep", "fid-tradeoff"])
+    def test_model_of_another_dim_is_input_error(self, ws, tmp_path, capsys, command):
+        # the model is fitted on a 32-dim generator, the bundle has 16 dims
+        argv = [ws["target"] if a == "TARGET" else a for a in command]
+        capsys.readouterr()
+        rc = run(*argv, "--bundle", ws["bundle16"], "--model", ws["model"],
+                 "--out", tmp_path / "o")
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("input error: ") and err.count("\n") == 1
+        assert "dim 32" in err and "latent dim 16" in err
+
+    def test_target_bundle_of_other_dims_is_input_error(self, ws, tmp_path, capsys):
+        capsys.readouterr()
+        rc = run("experiment", "interpolation", "--bundle", ws["bundle"],
+                 "--model", ws["model"], "--target-bundle", ws["bundle16"],
+                 "--out", tmp_path / "o")
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("input error: ") and err.count("\n") == 1
+
+    def test_non_finite_target_is_input_error(self, ws, tmp_path, capsys):
+        bad = tmp_path / "nan.f64"
+        write_image_f64(bad, np.full(16 * 16 * 3, np.nan))
+        capsys.readouterr()
+        rc = run("invert", "--bundle", ws["bundle"], "--model", ws["model"],
+                 "--target", bad, "--out", tmp_path / "o")
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("input error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--bundle", "--model", "--config"])
+    def test_binary_file_where_json_is_expected_is_input_error(self, ws, tmp_path,
+                                                               capsys, flag):
+        paths = {"--bundle": ws["bundle"], "--model": ws["model"]}
+        paths[flag] = ws["target"]  # raw float64 bytes
+        capsys.readouterr()
+        rc = run("experiment", "fid-tradeoff", *(x for item in paths.items() for x in item),
+                 "--out", tmp_path / "o")
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("input error: ") and err.count("\n") == 1
+
+    def test_abbreviated_flag_is_rejected(self, ws, tmp_path, capsys):
+        # --target is an invert flag; it must not run as --target-bundle
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run("experiment", "interpolation", "--bundle", ws["bundle"],
+                "--model", ws["model"], "--target", ws["bundle"],
+                "--out", tmp_path / "o")
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_bad_flag_value_prints_one_line(self, tmp_path):
+        rc, err = run_process("init-gan", "--latent-dim", "many",
+                              "--out", tmp_path / "o")
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--latent-dim" in err
+
     def test_argparse_failures_exit_with_two(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run("init-gan", "--latent-dim", "many", "--out", tmp_path / "o")
@@ -328,10 +403,11 @@ class TestConfigFile:
 
     def test_wrongly_typed_config_value_is_usage(self, ws, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"samples": "many"}))
-        rc = run("fit-prior", "--bundle", ws["bundle"], "--config", cfg,
-                 "--out", tmp_path / "o")
-        assert rc == 2
+        for value in ("many", None, float("inf")):
+            cfg.write_text(json.dumps({"samples": value}))
+            rc = run("fit-prior", "--bundle", ws["bundle"], "--config", cfg,
+                     "--out", tmp_path / "o")
+            assert rc == 2
 
     def test_bool_config_value_must_be_boolean(self, ws, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -359,6 +435,21 @@ class TestExperimentCommands:
         summary = report["summary"]["w:lambda=0"]
         assert summary["median_latent_error"] is None
         assert summary["mean_image_error"] is None
+        # no pair was kept: no curve, no errors, and no zeros that read as perfect
+        assert report["curves"]["w:lambda=0"] is None
+        assert summary["endpoint_error"] is None
+        assert summary["midpoint_error"] is None
+        assert (out / "curve_w_lambda-0.csv").read_text() == \
+            "t,mean_error,std_error,condition\n"
+
+        sweep_out = tmp_path / "sweep"
+        assert run("experiment", "lambda-sweep", "--bundle", ws["bundle"],
+                   "--model", ws["model"], "--spaces", "w", "--grid", 0,
+                   "--images", 3, "--pairs", 2, "--iters", 20,
+                   "--learning-rate", 1e308, "--out", sweep_out) == 0
+        sweep = json.loads((sweep_out / "sweep.json").read_text(),
+                           parse_constant=no_constant)
+        assert sweep["summary"]["w"] == {"endpoint": [None], "midpoint": [None]}
 
     def test_interpolation_outputs(self, ws, tmp_path):
         out = tmp_path / "interp"
@@ -434,7 +525,7 @@ class TestReplay:
         for name in doc["outputs"]:
             assert (replay / name).read_bytes() == (src / name).read_bytes()
 
-    def test_replay_validates_the_manifest(self, tmp_path):
+    def test_replay_validates_the_manifest(self, ws, tmp_path):
         bad = tmp_path / "manifest.json"
         bad.write_text("{nope")
         with pytest.raises(InputFormatError, match="JSON"):
@@ -446,3 +537,57 @@ class TestReplay:
             {"command": "frobnicate", "config": {}, "inputs": {}}))
         with pytest.raises(InputFormatError, match="unknown command"):
             replay_manifest(bad, tmp_path / "o")
+
+        assert run("correct", "--model", ws["model"], "--latents", ws["latents"],
+                   "--out", tmp_path / "good") == 0
+        good = manifest_of(tmp_path / "good")
+        config = good["config"]
+        faults = {
+            "JSON": b"\xff\xfe\x00\x01" * 8,
+            "lacks": {**good, "config": {"psi": 0.5, "tau": 0.5}},
+            "version": {**good, "version": "99.0"},
+            "unknown config keys": {**good, "config": {**config, "sampels": 1}},
+            "tau": {**good, "config": {**config, "tau": "abc"}},
+            "choices": {**good, "config": {**config, "method": "nope"}},
+            "object": 5,
+            "config and inputs": {**good, "config": [1, 2]},
+            "requires --latents": {**good, "inputs": {"model": str(ws["model"])}},
+        }
+        for match, doc in faults.items():
+            if isinstance(doc, bytes):
+                bad.write_bytes(doc)
+            else:
+                bad.write_text(json.dumps(doc))
+            with pytest.raises(InputFormatError, match=match):
+                replay_manifest(bad, tmp_path / "o")
+        assert not (tmp_path / "o").exists()
+
+    RUNS = {
+        "init-gan": ["--seed", 4, "--channels", 4],
+        "fit-prior": ["--bundle", "bundle", "--samples", 200],
+        "invert": ["--bundle", "bundle", "--model", "model", "--target", "target",
+                   "--iterations", 2],
+        "correct": ["--model", "model", "--latents", "latents", "--psi", 0.5],
+        "experiment interpolation": [
+            "--bundle", "bundle", "--model", "model", "--spaces", "w,wplus",
+            "--lambdas", "0,1e-4", "--images", 2, "--pairs", 1, "--iters", 2,
+            "--oracle-init"],
+        "experiment lambda-sweep": [
+            "--bundle", "bundle", "--model", "model", "--grid", "0,1e-3",
+            "--images", 2, "--pairs", 1, "--iters", 2],
+        "experiment fid-tradeoff": [
+            "--bundle", "bundle", "--model", "model", "--psis", 0.8,
+            "--samples", 32, "--identity-samples", 8, "--max-bisect", 2],
+        "experiment pc-profile": ["--model", "model", "--latents", "latents"],
+    }
+
+    def test_every_command_is_run_below(self):
+        assert set(self.RUNS) == set(_COMMANDS)
+
+    @pytest.mark.parametrize("command", list(RUNS))
+    def test_manifest_config_resolves_to_itself(self, ws, tmp_path, command):
+        argv = [ws.get(a, a) if isinstance(a, str) else a for a in self.RUNS[command]]
+        assert run(*command.split(), *argv, "--out", tmp_path / "o") == 0
+        doc = manifest_of(tmp_path / "o")
+        resolved = _resolve(_COMMANDS[command], {}, {**doc["config"], **doc["inputs"]})
+        assert resolved == (doc["config"], doc["inputs"])

@@ -248,6 +248,10 @@ class TestExperimentArguments:
             assert rec.n_failed_pairs == 1
             assert report.median_latent_error(condition) is None
             assert report.mean_image_error(condition) is None
+            assert report.curve(condition) is None
+            assert report.endpoint_error(condition) is None
+            assert report.midpoint_error(condition) is None
+            assert summary["curves"][condition] is None
             assert summary["summary"][condition]["median_latent_error"] is None
             assert summary["summary"][condition]["mean_image_error"] is None
 

@@ -1,0 +1,116 @@
+"""Property tests of the latents and raw-image readers.
+
+Finite arrays round-trip through the `.lat` container and its JSON twin,
+and whatever bytes or text a reader is given, the only exception it raises
+is InputFormatError (exit code 3 at the command line).
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from latentprior.errors import InputFormatError
+from latentprior.generator import image_from_f64_bytes, image_to_f64_bytes
+from latentprior.spaces import (
+    latents_from_bytes,
+    latents_from_json,
+    latents_to_bytes,
+    latents_to_json,
+)
+
+# same examples on every run, nothing written to disk
+properties = settings(database=None, deadline=None, derandomize=True)
+
+finite_rows = arrays(np.float64, st.tuples(st.integers(0, 4), st.integers(0, 6)),
+                     elements=st.floats(allow_nan=False, allow_infinity=False))
+
+# headers a reader gets past, so the bytes after them are read too
+_HEADERS = (b"", b"LATV", b"LATV\x01\x00\x00\x00")
+any_bytes = st.tuples(st.sampled_from(_HEADERS), st.binary(max_size=64)).map(
+    lambda parts: parts[0] + parts[1])
+
+json_scalars = (st.none() | st.booleans() | st.integers(-2**70, 2**70)
+                | st.floats() | st.text(max_size=4))
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12)
+# documents shaped like the JSON twin, with any values in its three fields
+sizes = (st.integers(-2, 4) | json_scalars
+         | st.sampled_from([2.0, math.inf, -math.inf, math.nan, 2**64]))
+twin_like = st.fixed_dictionaries(
+    {"rows": sizes, "dim": sizes,
+     "values": st.lists(json_scalars, max_size=8) | json_values}).map(json.dumps)
+any_text = st.text(max_size=64) | twin_like | json_values.map(json.dumps)
+
+
+@properties
+@given(finite_rows)
+def test_lat_bytes_round_trip_bit_for_bit(arr):
+    data = latents_to_bytes(arr)
+    back = latents_from_bytes(data)
+    assert back.shape == arr.shape
+    assert latents_to_bytes(back) == data
+
+
+@properties
+@given(finite_rows)
+def test_json_twin_round_trips_every_value(arr):
+    back = latents_from_json(latents_to_json(arr))
+    assert back.shape == arr.shape
+    np.testing.assert_array_equal(back, arr)
+
+
+@properties
+@given(arrays(np.float64, st.integers(0, 12),
+              elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_raw_image_round_trips_bit_for_bit(image):
+    data = image_to_f64_bytes(image)
+    assert image_to_f64_bytes(image_from_f64_bytes(data, image.size)) == data
+
+
+def _only_input_format_error(read, arg, *rest):
+    try:
+        read(arg, *rest)
+    except InputFormatError:
+        pass
+
+
+@properties
+@given(any_bytes)
+def test_latents_from_bytes_raises_only_input_format_error(data):
+    _only_input_format_error(latents_from_bytes, data)
+
+
+@properties
+@given(any_text)
+def test_latents_from_json_raises_only_input_format_error(text):
+    _only_input_format_error(latents_from_json, text)
+
+
+@properties
+@given(any_bytes, st.none() | st.integers(0, 8))
+def test_image_from_f64_bytes_raises_only_input_format_error(data, pixels):
+    _only_input_format_error(image_from_f64_bytes, data, pixels)
+
+
+@pytest.mark.parametrize("rows", ["1e400", "-1", "2.0", "true", '"2"'])
+def test_rows_must_be_a_nonnegative_json_integer(rows):
+    # -1 would pass reshape as a wildcard; 1e400 parses to inf
+    text = f'{{"rows": {rows}, "dim": 2, "values": [1.0, 2.0, 3.0, 4.0]}}'
+    with pytest.raises(InputFormatError, match="rows and dim"):
+        latents_from_json(text)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_raw_image_rejected(bad):
+    image = np.zeros(6)
+    image[4] = bad
+    with pytest.raises(InputFormatError, match="non-finite"):
+        image_from_f64_bytes(image_to_f64_bytes(image), 6)
