@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -112,11 +113,29 @@ class Command:
     help: str = ""
 
 
+def integer(value) -> int:
+    """An int, a string of digits or an integral float; never a bool."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError("expected an integer")
+    return int(value)
+
+
+def finite(value) -> float:
+    """A number or numeric string as a float; nan, inf and bools are refused."""
+    if isinstance(value, bool):
+        raise ValueError("expected a number")
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError("expected a finite number")
+    return number
+
+
 def floats(value) -> list:
-    """A comma-separated string or a list, as floats."""
+    """A comma-separated string or a list, as finite floats."""
     if isinstance(value, str):
         value = [v for v in value.split(",") if v != ""]
-    return [float(v) for v in value]
+    return [finite(v) for v in value]
 
 
 def strs(value) -> list:
@@ -133,7 +152,7 @@ def _boolean(value) -> bool:
 
 
 # Flag.kind -> the one function that parses a flag, --config or manifest value
-_KINDS = {"int": int, "float": float, "str": str, "floats": floats,
+_KINDS = {"int": integer, "float": finite, "str": str, "floats": floats,
           "strs": strs, "bool": _boolean}
 
 

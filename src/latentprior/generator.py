@@ -12,7 +12,13 @@ Two stages, mirroring the usual style-based pipeline at desk scale:
   scale's style by a learned affine map, applies fixed channel-mixing
   weights standing in for convolution, adds a fixed seeded noise field, and
   applies a leaky ReLU. A final linear projection produces the RGB image.
-  There is no output nonlinearity.
+  There is no output nonlinearity. Nearest-neighbour upsampling commutes
+  with the per-pixel modulation and mixing, so the forward pass does that
+  channel work at the resolution before upsampling (4x fewer pixels) and
+  upsamples once, into the buffer the noise is added to. Every output bit
+  is the same as in the upsample-first order, except where the base map is
+  a single pixel: its scale-1 mixing is then a vector-matrix product,
+  which numpy hands to another BLAS kernel that rounds differently.
 
 Everything is regenerated bit-exactly from (seed, dims); weights are never
 serialized. All evaluation is batched over (n, s, d) style stacks:
@@ -190,11 +196,26 @@ def _check_stacks(bundle: GeneratorBundle, stacks) -> np.ndarray:
     return arr
 
 
+def _upsample(a: np.ndarray) -> np.ndarray:
+    """Nearest-neighbour 2x upsampling of (n, h, w, c) maps, as a new array."""
+    n, h, w, c = a.shape
+    out = np.empty((n, h, 2, w, 2, c))
+    out[...] = a[:, :, None, :, None, :]
+    return out.reshape(n, 2 * h, 2 * w, c)
+
+
 def _forward(bundle: GeneratorBundle, stacks: np.ndarray, keep_cache: bool):
     """Shared forward pass. Returns (flat images, per-scale cache).
 
-    Cache entries are (pre-modulation features, per-sample channel scales,
-    pre-activation values) as needed by the backward pass.
+    At each scale the modulation and the channel mixing run on the previous
+    scale's output, before upsampling: both act on each pixel alone, so
+    they commute with nearest-neighbour upsampling, bit for bit. The mixed
+    features are then upsampled into a new buffer and the noise field is
+    added in place. The upsample-first order is kept as a test oracle.
+
+    Cache entries are (upsampled pre-modulation features, per-sample channel
+    scales, full-resolution pre-activation values) as needed by the backward
+    pass. Without a cache the activation overwrites its input.
     """
     syn = bundle.synthesis
     dims = bundle.dims
@@ -204,17 +225,17 @@ def _forward(bundle: GeneratorBundle, stacks: np.ndarray, keep_cache: bool):
     x = np.broadcast_to(syn.base, (n,) + syn.base.shape)
     cache = []
     for k in range(dims.scales):
-        if k > 0:
-            x = x.repeat(2, axis=1).repeat(2, axis=2)
         mod = stacks[:, k, :] @ syn.style_affines[k].T
         scale = 1.0 + mod[:, :c]
-        bias = mod[:, c:]
-        m = x * scale[:, None, None, :] + bias[:, None, None, :]
+        m = x * scale[:, None, None, :]
+        m += mod[:, None, None, c:]
         y = m @ syn.mixers[k].T
-        z = y + syn.noises[k]
+        z = _upsample(y) if k > 0 else y
+        z += syn.noises[k]
         if keep_cache:
-            cache.append((x, scale, z))
-        x = np.where(z >= 0, z, ACT_SLOPE * z)
+            cache.append((_upsample(x) if k > 0 else x, scale, z))
+        # the same bits as np.where(z >= 0, z, ACT_SLOPE * z); a NaN stays NaN
+        x = np.maximum(z, ACT_SLOPE * z, out=None if keep_cache else z)
     images = x @ syn.out_proj.T
     return images.reshape(n, -1), cache
 

@@ -136,10 +136,16 @@ def latents_from_bytes(data: bytes) -> np.ndarray:
     return _finite(flat.astype(np.float64).reshape(rows, dim))
 
 
+def _json_number(x: float) -> str:
+    """17-digit text of x; -0.0 keeps its point, since "-0" reads as int 0."""
+    text = format(x, ".17g")
+    return "-0.0" if text == "-0" else text
+
+
 def latents_to_json(latents) -> str:
     arr = _as_rows(latents)
     rows, dim = arr.shape
-    values = ", ".join(format(x, ".17g") for x in arr.ravel())
+    values = ", ".join(_json_number(x) for x in arr.ravel())
     return f'{{"rows": {rows}, "dim": {dim}, "values": [{values}]}}\n'
 
 

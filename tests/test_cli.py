@@ -344,6 +344,18 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "--latent-dim" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["invert", "--target", "target", "--lambda", "nan"],
+        ["experiment", "lambda-sweep", "--grid", "0,inf"],
+    ])
+    def test_non_finite_flag_value_is_usage(self, ws, tmp_path, argv):
+        rc, err = run_process(*[ws.get(a, a) for a in argv], "--bundle", ws["bundle"],
+                              "--model", ws["model"], "--out", tmp_path / "o")
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert argv[-2] in err
+        assert not (tmp_path / "o").exists()
+
     def test_argparse_failures_exit_with_two(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run("init-gan", "--latent-dim", "many", "--out", tmp_path / "o")
@@ -403,11 +415,43 @@ class TestConfigFile:
 
     def test_wrongly_typed_config_value_is_usage(self, ws, tmp_path):
         cfg = tmp_path / "cfg.json"
-        for value in ("many", None, float("inf")):
-            cfg.write_text(json.dumps({"samples": value}))
+        for doc in ({"samples": "many"}, {"samples": None},
+                    {"samples": float("inf")}, {"samples": 2.7},
+                    {"samples": 500, "seed": True}):
+            cfg.write_text(json.dumps(doc))
             rc = run("fit-prior", "--bundle", ws["bundle"], "--config", cfg,
                      "--out", tmp_path / "o")
             assert rc == 2
+            assert not (tmp_path / "o").exists()
+
+    def test_integral_config_values_are_ints(self, ws, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"samples": 500.0, "seed": "7"}))
+        out = tmp_path / "o"
+        assert run("fit-prior", "--bundle", ws["bundle"], "--config", cfg,
+                   "--out", out) == 0
+        config = manifest_of(out)["config"]
+        assert config == {"samples": 500, "seed": 7}
+
+    @pytest.mark.parametrize("command, text", [
+        (["invert", "--bundle", "bundle", "--target", "target"], '{"lambda": NaN}'),
+        (["experiment", "lambda-sweep", "--bundle", "bundle"],
+         '{"grid": [0, Infinity]}'),
+        (["correct", "--latents", "latents"], '{"psi": -Infinity}'),
+        (["correct", "--latents", "latents"], '{"psi": true}'),
+    ])
+    def test_bad_config_number_is_usage(self, ws, tmp_path, capsys,
+                                        command, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        capsys.readouterr()
+        rc = run(*[ws.get(a, a) for a in command], "--model", ws["model"],
+                 "--config", cfg, "--out", tmp_path / "o")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "expected a" in err
+        assert not (tmp_path / "o").exists()
 
     def test_bool_config_value_must_be_boolean(self, ws, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -548,6 +592,7 @@ class TestReplay:
             "version": {**good, "version": "99.0"},
             "unknown config keys": {**good, "config": {**config, "sampels": 1}},
             "tau": {**good, "config": {**config, "tau": "abc"}},
+            "finite": {**good, "config": {**config, "psi": float("nan")}},
             "choices": {**good, "config": {**config, "method": "nope"}},
             "object": 5,
             "config and inputs": {**good, "config": [1, 2]},
@@ -560,6 +605,16 @@ class TestReplay:
                 bad.write_text(json.dumps(doc))
             with pytest.raises(InputFormatError, match=match):
                 replay_manifest(bad, tmp_path / "o")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", [2.7, True])
+    def test_replay_rejects_a_non_integer_count(self, ws, tmp_path, value):
+        doc = manifest_of(ws["root"] / "prior")
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps({**doc, "config": {**doc["config"],
+                                                     "samples": value}}))
+        with pytest.raises(InputFormatError, match="expected an integer"):
+            replay_manifest(bad, tmp_path / "o")
         assert not (tmp_path / "o").exists()
 
     RUNS = {

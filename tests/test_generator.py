@@ -195,6 +195,75 @@ class TestVjp:
             _vjp(bundle, rng.standard_normal((1, s, d)), rng.standard_normal((1, 5)))
 
 
+def _forward_upsample_first(bundle, stacks, keep_cache):
+    """The synthesis forward in its first order: upsample, modulate, mix."""
+    syn, dims = bundle.synthesis, bundle.dims
+    n, c = stacks.shape[0], dims.channels
+    x = np.broadcast_to(syn.base, (n,) + syn.base.shape)
+    cache = []
+    for k in range(dims.scales):
+        if k > 0:
+            x = x.repeat(2, axis=1).repeat(2, axis=2)
+        mod = stacks[:, k, :] @ syn.style_affines[k].T
+        scale = 1.0 + mod[:, :c]
+        bias = mod[:, c:]
+        m = x * scale[:, None, None, :] + bias[:, None, None, :]
+        z = m @ syn.mixers[k].T + syn.noises[k]
+        if keep_cache:
+            cache.append((x, scale, z))
+        x = np.where(z >= 0, z, generator.ACT_SLOPE * z)
+    return (x @ syn.out_proj.T).reshape(n, -1), cache
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == \
+        np.ascontiguousarray(b).tobytes()
+
+
+class TestForwardOrder:
+    """Channel work before upsampling gives the upsample-first bits exactly."""
+
+    DIMS = [GeneratorDims(), GeneratorDims(scales=3, channels=5, image_size=12),
+            GeneratorDims(scales=1)]
+
+    @pytest.mark.parametrize("dims", DIMS, ids=["default", "3x5x12", "one-scale"])
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_bitwise_equal_to_upsample_first(self, dims, n, monkeypatch):
+        bundle = generator.init_generator(5, dims)
+        rng = np.random.default_rng(n)
+        stacks = rng.standard_normal((n, dims.scales, dims.latent_dim))
+        cots = rng.standard_normal((n, dims.pixels))
+        want, want_cache = _forward_upsample_first(bundle, stacks, True)
+        for keep_cache in (False, True):
+            images, cache = generator._forward(bundle, stacks, keep_cache)
+            assert _same_bits(images, want)
+        assert len(cache) == len(want_cache) == dims.scales
+        for entry, want_entry in zip(cache, want_cache):
+            assert all(_same_bits(a, b) for a, b in zip(entry, want_entry))
+        grads = _vjp(bundle, stacks, cots)
+        monkeypatch.setattr(generator, "_forward", _forward_upsample_first)
+        assert _same_bits(grads, _vjp(bundle, stacks, cots))
+
+    def test_one_pixel_base_agrees_to_rounding(self):
+        # mixing a 1x1 map is a vector-matrix product, which numpy hands to
+        # another BLAS kernel than the 2x2 map of the upsample-first order
+        dims = GeneratorDims(image_size=8)
+        bundle = generator.init_generator(5, dims)
+        stacks = np.random.default_rng(3).standard_normal((7, dims.scales,
+                                                           dims.latent_dim))
+        want, _ = _forward_upsample_first(bundle, stacks, False)
+        np.testing.assert_allclose(generator.synthesize_batch(bundle, stacks),
+                                   want, rtol=1e-12, atol=1e-13)
+
+    def test_nan_propagates_as_before(self, bundle):
+        stacks = np.zeros((2, bundle.dims.scales, bundle.dims.latent_dim))
+        stacks[1, 2, 0] = np.nan
+        images = generator.synthesize_batch(bundle, stacks)
+        want, _ = _forward_upsample_first(bundle, stacks, False)
+        assert _same_bits(np.isnan(images), np.isnan(want))
+        assert _same_bits(images[0], want[0]) and np.all(np.isnan(images[1]))
+
+
 class TestBundleSerialization:
     def test_round_trip_regenerates_identical_generator(self, bundle, rng):
         back = generator.bundle_from_json(generator.bundle_to_json(bundle))

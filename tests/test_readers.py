@@ -64,7 +64,13 @@ def test_lat_bytes_round_trip_bit_for_bit(arr):
 def test_json_twin_round_trips_every_value(arr):
     back = latents_from_json(latents_to_json(arr))
     assert back.shape == arr.shape
-    np.testing.assert_array_equal(back, arr)
+    assert back.tobytes() == arr.tobytes()
+
+
+def test_json_twin_keeps_the_sign_of_zero():
+    text = latents_to_json([[-0.0, 0.0, 1.0, -2.5e-300]])
+    assert text == '{"rows": 1, "dim": 4, "values": [-0.0, 0, 1, -2.5e-300]}\n'
+    assert list(np.signbit(latents_from_json(text))[0]) == [True, False, False, True]
 
 
 @properties
