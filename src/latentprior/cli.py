@@ -356,16 +356,14 @@ def _write_report(out: Path, name: str, report) -> list:
 def _run_interpolation(config, inputs, out: Path, threads):
     report = interpolation_experiment(inputs["bundle"], inputs["model"],
                                       _interp_config(config),
-                                      target_bundle=inputs.get("target-bundle"),
-                                      threads=threads)
+                                      target_bundle=inputs.get("target-bundle"))
     return _write_report(out, "report.json", report), {}
 
 
 def _run_lambda_sweep(config, inputs, out: Path, threads):
     grid = config["grid"]
     base = _interp_config({**config, "lambdas": grid})
-    reports = lambda_sweep(inputs["bundle"], inputs["model"], base, grid,
-                           threads=threads)
+    reports = lambda_sweep(inputs["bundle"], inputs["model"], base, grid)
     outputs = []
     summary = {space: {"endpoint": [], "midpoint": []}
                for space in base.spaces}
@@ -602,7 +600,7 @@ def _add_flags(parser: argparse.ArgumentParser, cmd: Command) -> None:
     parser.add_argument("--config", type=str, default=None,
                         help="JSON file supplying any subset of settings")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads (does not affect results)")
+                        help="fid-tradeoff worker threads; never changes results")
 
 
 def build_parser() -> argparse.ArgumentParser:

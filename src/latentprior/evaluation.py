@@ -13,8 +13,9 @@ Four experiments, all deterministic given a seed:
 - pc_magnitude_profile: principal-component magnitude statistics of a
   latent batch, split into in-threshold and tail samples.
 
-Experiments parallelize over independent tasks with per-task seeds, so
-results do not depend on the worker count. Report aggregates (curves,
+Inversion steps are Python-bound and hold the GIL, so inversions run on the
+calling thread; only fid_tradeoff's operating points use a thread pool,
+whose worker count never changes a result. Report aggregates (curves,
 medians) are plain functions of the stored raw records.
 """
 
@@ -25,7 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .correction import compress_rows, compression_threshold, to_pc, truncate_rows
 from .errors import NumericalFailure
@@ -244,7 +245,7 @@ def _ground_truth(bundle: GeneratorBundle, config: InterpolationConfig,
 
 def _invert_pool(bundle, model, config: InterpolationConfig, space: str,
                  weight: float, space_idx: int, targets: np.ndarray,
-                 truth_latents: np.ndarray, threads: int):
+                 truth_latents: np.ndarray):
     """Invert every target of a pool; failures are masked, not raised."""
     n = config.n_images
 
@@ -264,7 +265,8 @@ def _invert_pool(bundle, model, config: InterpolationConfig, space: str,
         except NumericalFailure:
             return None
 
-    results = _pmap(task, range(n), threads)
+    # one thread: a plain loop, kept as _pmap so perfbench's pool spans still read
+    results = _pmap(task, range(n), 1)
     est = np.zeros_like(truth_latents)
     ok = np.zeros(n, dtype=bool)
     lat_err = np.zeros(n)
@@ -281,14 +283,13 @@ def _invert_pool(bundle, model, config: InterpolationConfig, space: str,
 
 def interpolation_experiment(bundle: GeneratorBundle, model: GaussianModel,
                              config: InterpolationConfig,
-                             target_bundle: GeneratorBundle | None = None,
-                             threads: int = 1) -> ExperimentReport:
+                             target_bundle: GeneratorBundle | None = None
+                             ) -> ExperimentReport:
     """Run the interpolation-error protocol for every configured condition.
 
     ``target_bundle``, when given, generates the targets instead of
     ``bundle`` (out-of-model targets); latent errors are then relative
-    numbers against the target generator's latents. ``threads`` only sets
-    the worker count; results are identical for any value.
+    numbers against the target generator's latents.
     """
     if model.dim != bundle.dims.latent_dim:
         raise ValueError(
@@ -319,8 +320,7 @@ def interpolation_experiment(bundle: GeneratorBundle, model: GaussianModel,
         for weight in config.prior_weights:
             est, ok, lat_err, img_err = _invert_pool(
                 bundle, model, config, space, weight, space_idx,
-                targets, truth_latents, threads,
-            )
+                targets, truth_latents)
             est_stacks = lift_rows(est.reshape(len(est), -1, d), s)
             pair_ok = ok[pairs[:, 0]] & ok[pairs[:, 1]]
             pair_errors = np.zeros((config.n_pairs, n_t))
@@ -353,8 +353,7 @@ def interpolation_experiment(bundle: GeneratorBundle, model: GaussianModel,
 
 def lambda_sweep(bundle: GeneratorBundle, model: GaussianModel,
                  config: InterpolationConfig,
-                 lambda_grid=DEFAULT_LAMBDA_GRID,
-                 threads: int = 1) -> dict[float, ExperimentReport]:
+                 lambda_grid=DEFAULT_LAMBDA_GRID) -> dict[float, ExperimentReport]:
     """The interpolation experiment over a grid of prior weights.
 
     One experiment runs the whole grid, so the weights share one target
@@ -364,8 +363,7 @@ def lambda_sweep(bundle: GeneratorBundle, model: GaussianModel,
     """
     grid = tuple(dict.fromkeys(float(lam) for lam in lambda_grid))
     full = interpolation_experiment(bundle, model,
-                                    replace(config, prior_weights=grid),
-                                    threads=threads)
+                                    replace(config, prior_weights=grid))
     reports = {}
     for lam in grid:
         conditions = tuple(condition_label(space, lam) for space in config.spaces)
@@ -466,7 +464,7 @@ def tail_probability(model: GaussianModel, tau: float) -> float:
     lam = np.maximum(model.eigvals, 0.0)
     inside = np.ones(model.dim)
     pos = lam > 0
-    inside[pos] = 2.0 * norm.cdf(threshold / np.sqrt(lam[pos])) - 1.0
+    inside[pos] = 2.0 * ndtr(threshold / np.sqrt(lam[pos])) - 1.0
     return float(1.0 - np.prod(inside))
 
 
@@ -541,6 +539,8 @@ def fid_tradeoff(bundle: GeneratorBundle, model: GaussianModel,
     is decreasing in tau) until the compressed batch matches within
     match_tol. Identity similarity is measured per sample against the
     uncorrected image; diversity is the mean per-pixel std of the batch.
+    ``threads`` workers run the operating points; results are identical
+    for any value.
     """
     if model.dim != bundle.dims.latent_dim:
         raise ValueError(

@@ -218,12 +218,14 @@ _MODEL_KEYS = (
 )
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def json_number(x: float) -> str:
+    """17-digit text of x; -0.0 keeps its point, since "-0" reads as int 0."""
+    text = format(float(x), ".17g")
+    return "-0.0" if text == "-0" else text
 
 
 def _fmt_array(a: np.ndarray) -> str:
-    return "[" + ", ".join(_fmt(x) for x in np.asarray(a).ravel()) + "]"
+    return "[" + ", ".join(json_number(x) for x in np.asarray(a).ravel()) + "]"
 
 
 def model_to_json(model: GaussianModel) -> str:
@@ -235,7 +237,7 @@ def model_to_json(model: GaussianModel) -> str:
         f'"cov_v": {_fmt_array(model.cov_v)}',
         f'"eigvals": {_fmt_array(model.eigvals)}',
         f'"eigvecs": {_fmt_array(model.eigvecs)}',
-        f'"epsilon": {_fmt(model.epsilon)}',
+        f'"epsilon": {json_number(model.epsilon)}',
     ]
     return "{\n  " + ",\n  ".join(parts) + "\n}\n"
 

@@ -24,7 +24,7 @@ import struct
 import numpy as np
 
 from .errors import InputFormatError
-from .gaussian import GaussianModel, mahalanobis_sq_batch
+from .gaussian import GaussianModel, json_number, mahalanobis_sq_batch
 
 # Negative slopes of the two inverse leaky ReLUs. 0.2 * 5.0 is not exactly 1
 # in binary floating point; round trips are exact to within 4 ulp.
@@ -136,16 +136,10 @@ def latents_from_bytes(data: bytes) -> np.ndarray:
     return _finite(flat.astype(np.float64).reshape(rows, dim))
 
 
-def _json_number(x: float) -> str:
-    """17-digit text of x; -0.0 keeps its point, since "-0" reads as int 0."""
-    text = format(x, ".17g")
-    return "-0.0" if text == "-0" else text
-
-
 def latents_to_json(latents) -> str:
     arr = _as_rows(latents)
     rows, dim = arr.shape
-    values = ", ".join(_json_number(x) for x in arr.ravel())
+    values = ", ".join(json_number(x) for x in arr.ravel())
     return f'{{"rows": {rows}, "dim": {dim}, "values": [{values}]}}\n'
 
 

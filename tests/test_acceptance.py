@@ -1,14 +1,14 @@
 """Acceptance gate: the shipped guarantees, one test per claim.
 
 Each test prints a single PASS/FAIL line with the numbers it measured.
-Worker threads only speed tests up; results are thread-count invariant
-(the last test proves it).
+Inversions run on the calling thread; only the tradeoff's operating
+points use worker threads, and results are thread-count invariant (the
+last test proves it).
 """
 
 import json
 import shutil
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -180,8 +180,7 @@ def _invert_pool(bundle, model, targets, truths, space, weight, iterations):
         res = invert(targets[i], bundle, model, cfg)
         return float(np.linalg.norm((res.latent - truths[i]).ravel()))
 
-    with ThreadPoolExecutor(max_workers=THREADS) as pool:
-        return np.array(list(pool.map(task, range(len(targets)))))
+    return np.array([task(i) for i in range(len(targets))])
 
 
 def test_criterion_05_prior_improves_latent_recovery(bundle, model):
@@ -219,7 +218,7 @@ def test_criterion_06_prior_helps_midpoint_interpolation(bundle, model):
     config = InterpolationConfig(spaces=(SPACE_WPLUS,),
                                  prior_weights=(0.0, 1e-4),
                                  n_images=20, n_pairs=40, seed=0)
-    report = interpolation_experiment(bundle, model, config, threads=THREADS)
+    report = interpolation_experiment(bundle, model, config)
     off = condition_label(SPACE_WPLUS, 0.0)
     on = condition_label(SPACE_WPLUS, 1e-4)
     mid_on, mid_off = report.midpoint_error(on), report.midpoint_error(off)
@@ -284,8 +283,7 @@ def test_criterion_09_weight_sweep_trends(bundle, model):
     start = time.perf_counter()
     config = InterpolationConfig(spaces=(SPACE_WPLUS,), prior_weights=(0.0,),
                                  n_images=20, n_pairs=40, seed=0)
-    reports = lambda_sweep(bundle, model, config, DEFAULT_LAMBDA_GRID,
-                           threads=THREADS)
+    reports = lambda_sweep(bundle, model, config, DEFAULT_LAMBDA_GRID)
     ends, mids = [], []
     for lam in DEFAULT_LAMBDA_GRID:
         label = condition_label(SPACE_WPLUS, lam)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import latentprior
+from latentprior import evaluation
 from latentprior.cli import (
     _COMMANDS,
     MANIFEST_NAME,
@@ -557,6 +558,61 @@ class TestExperimentCommands:
         doc = manifest_of(out)
         assert doc["inputs"]["latents"] == str(ws["latents"])
         assert json.loads((out / "profile.json").read_text())["n_samples"] == 6
+
+
+class PoolStarted(Exception):
+    pass
+
+
+class TestThreads:
+    @staticmethod
+    def outputs_at(ws, tmp_path, threads, *argv) -> dict:
+        """Every output of one experiment run, manifest included, as bytes."""
+        out = tmp_path / f"threads-{threads}"
+        assert run("experiment", *argv, "--bundle", ws["bundle"],
+                   "--model", ws["model"], "--threads", threads, "--out", out) == 0
+        names = [MANIFEST_NAME] + manifest_of(out)["outputs"]
+        return {name: (out / name).read_bytes() for name in names}
+
+    def test_thread_count_does_not_change_results(self, ws, tmp_path):
+        argv = ["interpolation", "--spaces", "w", "--lambdas", "0,1e-4",
+                "--images", 3, "--pairs", 2, "--iters", 60,
+                "--learning-rate", 0.05, "--seed", 0]
+        assert self.outputs_at(ws, tmp_path, 4, *argv) == \
+            self.outputs_at(ws, tmp_path, 1, *argv)
+
+    def test_tradeoff_pool_does_not_change_results(self, ws, tmp_path):
+        argv = ["fid-tradeoff", "--psis", "0.9,0.7,0.5", "--samples", 48,
+                "--identity-samples", 16, "--tau-lo", 0.02, "--max-bisect", 4]
+        assert self.outputs_at(ws, tmp_path, 2, *argv) == \
+            self.outputs_at(ws, tmp_path, 1, *argv)
+
+    def test_only_fid_tradeoff_starts_a_pool(self, ws, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise PoolStarted
+
+        monkeypatch.setattr(evaluation, "ThreadPoolExecutor", no_pool)
+        bundle, model = load_bundle(ws["bundle"]), load_model(ws["model"])
+        config = evaluation.InterpolationConfig(
+            spaces=("w", "wplus"), prior_weights=(0.0, 1e-4), n_images=3,
+            n_pairs=2, iterations=2)
+        evaluation.interpolation_experiment(bundle, model, config)
+        assert run("experiment", "lambda-sweep", "--bundle", ws["bundle"],
+                   "--model", ws["model"], "--grid", "0,1e-4", "--images", 3,
+                   "--pairs", 2, "--iters", 2, "--threads", 8,
+                   "--out", tmp_path / "sweep") == 0
+        tradeoff = evaluation.TradeoffConfig(psis=(0.9, 0.7), n_samples=32,
+                                             n_identity=8, max_bisect=2)
+        with pytest.raises(PoolStarted):
+            evaluation.fid_tradeoff(bundle, model, tradeoff, threads=2)
+
+    def test_importing_the_cli_leaves_scipy_stats_out(self):
+        src = str(Path(latentprior.__file__).resolve().parents[1])
+        code = "import sys, latentprior.cli; print('scipy.stats' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src},
+                              timeout=300)
+        assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 class TestReplay:

@@ -180,12 +180,6 @@ class TestSmallExperiment:
         b = report.record("w:lambda=0.0001")
         npt.assert_array_equal(a.pair_indices, b.pair_indices)
 
-    def test_thread_count_does_not_change_results(self, bundle, fitted_model,
-                                                  report):
-        cfg = quiet_config(prior_weights=(0.0, 1e-4))
-        again = interpolation_experiment(bundle, fitted_model, cfg, threads=4)
-        assert report_to_json(again) == report_to_json(report)
-
     def test_json_round_trip(self, report):
         doc = json.loads(report_to_json(report))
         assert doc["kind"] == "interpolation"

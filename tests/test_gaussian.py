@@ -197,6 +197,18 @@ class TestSerialization:
         # chol is rebuilt, not stored; same inputs give the same factor
         assert np.array_equal(back.chol, model.chol)
 
+    def test_round_trip_keeps_the_sign_of_zero(self, tmp_path):
+        samples = np.random.default_rng(0).standard_normal((50, 3))
+        samples[:, 1] = 1.5  # a constant column gives -0.0 eigenvector entries
+        model = gaussian.fit_gaussian(samples, samples)
+        assert np.any((model.eigvecs == 0) & np.signbit(model.eigvecs))
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        gaussian.save_model(model, first)
+        back = gaussian.load_model(first)
+        gaussian.save_model(back, second)
+        assert second.read_bytes() == first.read_bytes()
+        assert np.array_equal(np.signbit(back.eigvecs), np.signbit(model.eigvecs))
+
     def test_missing_key_rejected(self, small_model):
         import json
         doc = json.loads(gaussian.model_to_json(small_model[0]))
