@@ -22,11 +22,11 @@ medians) are plain functions of the stored raw records.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-from scipy.special import ndtr
 
 from .correction import compress_rows, compression_threshold, to_pc, truncate_rows
 from .errors import NumericalFailure
@@ -456,15 +456,14 @@ def tail_probability(model: GaussianModel, tau: float) -> float:
 
     PC coordinates are independent with variances eigvals, so the tail
     probability is 1 minus the product of the per-dimension interior
-    probabilities 2 Phi(threshold / sqrt(eigval)) - 1.
+    probabilities 2 Phi(threshold / sqrt(eigval)) - 1 = erf(threshold /
+    sqrt(2 eigval)).
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     threshold = compression_threshold(model, tau)
-    lam = np.maximum(model.eigvals, 0.0)
-    inside = np.ones(model.dim)
-    pos = lam > 0
-    inside[pos] = 2.0 * ndtr(threshold / np.sqrt(lam[pos])) - 1.0
+    inside = np.array([math.erf(threshold / math.sqrt(2.0 * lam)) if lam > 0 else 1.0
+                       for lam in model.eigvals.tolist()])
     return float(1.0 - np.prod(inside))
 
 

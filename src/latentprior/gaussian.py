@@ -3,20 +3,21 @@
 The distribution of latents in the corrected space V is modeled as a single
 multivariate Gaussian with empirical mean and covariance. The model also
 keeps the eigendecomposition of the covariance (for principal-component
-work), a Cholesky factor of the regularized covariance (for energies and
-sampling), and the empirical W-space mean (truncation blends toward it).
+work), a Cholesky factor L of the regularized covariance (for sampling),
+its inverse L^{-1} (for energies), and the empirical W-space mean
+(truncation blends toward it).
 
-All solves go through the Cholesky factor; the covariance is never
-explicitly inverted.
+Energies and their gradients whiten by L^{-1}, computed once per model;
+the covariance itself is never inverted.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import InputFormatError
 from .seeding import STREAM_SAMPLES, rng_from
@@ -60,6 +61,11 @@ class GaussianModel:
     def sigma_max(self) -> float:
         """Largest per-component standard deviation, sqrt of eigvals[0]."""
         return float(np.sqrt(self.eigvals[0]))
+
+    @cached_property
+    def chol_inv(self) -> np.ndarray:
+        """(d, d) lower-triangular L^{-1}, computed on first use."""
+        return np.tril(np.linalg.inv(self.chol))
 
 
 def _as_sample_matrix(samples, name: str) -> np.ndarray:
@@ -121,27 +127,25 @@ def fit_gaussian(samples_v, samples_w) -> GaussianModel:
 
 
 def _whiten(model: GaussianModel, vs) -> np.ndarray:
-    """L^{-1} (v - mu) for every row of an (n, d) array, as (d, n) columns.
+    """L^{-1} (v - mu) for every row of an (n, d) array, as (n, d) rows.
 
     Non-finite rows give non-finite energies, for the caller to judge.
     """
     arr = np.asarray(vs, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != model.dim:
         raise ValueError(f"expected shape (n, {model.dim}), got {arr.shape}")
-    return solve_triangular(model.chol, (arr - model.mean_v).T, lower=True,
-                            check_finite=False)
+    return (arr - model.mean_v) @ model.chol_inv.T
 
 
 def mahalanobis_sq_batch(model: GaussianModel, vs) -> np.ndarray:
     """Row-wise energy (v - mu)^T (cov + eps I)^{-1} (v - mu). Returns (n,)."""
     y = _whiten(model, vs)
-    return np.einsum("ij,ij->j", y, y)
+    return np.einsum("ij,ij->i", y, y)
 
 
 def mahalanobis_sq_grad_batch(model: GaussianModel, vs) -> np.ndarray:
     """Row-wise gradient 2 (cov + eps I)^{-1} (v - mu). Returns (n, d)."""
-    return 2.0 * solve_triangular(model.chol.T, _whiten(model, vs), lower=False,
-                                  check_finite=False).T
+    return 2.0 * _whiten(model, vs) @ model.chol_inv
 
 
 def sample_latents(model: GaussianModel, seed, n: int) -> np.ndarray:
@@ -254,19 +258,24 @@ def model_from_json(text: str | bytes) -> GaussianModel:
         raise InputFormatError(f"model JSON missing keys: {missing}")
     # np.linalg.LinAlgError (covariance not positive definite) is a ValueError
     try:
-        d = int(doc["dim"])
+        d, sample_count, eps = doc["dim"], doc["sample_count"], doc["epsilon"]
+        if not (type(d) is int and d >= 1 and type(sample_count) is int
+                and sample_count >= 2):
+            raise ValueError("dim must be an integer >= 1 and sample_count "
+                             "an integer >= 2")
+        if type(eps) not in (int, float):
+            raise ValueError("epsilon must be a number")
         mean_v = np.array(doc["mean_v"], dtype=np.float64).reshape(d)
         mean_w = np.array(doc["mean_w"], dtype=np.float64).reshape(d)
         cov_v = np.array(doc["cov_v"], dtype=np.float64).reshape(d, d)
         eigvals = np.array(doc["eigvals"], dtype=np.float64).reshape(d)
         eigvecs = np.array(doc["eigvecs"], dtype=np.float64).reshape(d, d)
-        eps = float(doc["epsilon"])
-        sample_count = int(doc["sample_count"])
+        eps = float(eps)
         if not all(np.all(np.isfinite(a))
                    for a in (mean_v, mean_w, cov_v, eigvals, eigvecs, eps)):
             raise ValueError("non-finite values")
         chol = np.linalg.cholesky(cov_v + eps * np.eye(d))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise InputFormatError(f"malformed model: {exc}") from exc
     return GaussianModel(
         dim=d,

@@ -316,8 +316,13 @@ def bundle_to_json(bundle: GeneratorBundle) -> str:
 def bundle_from_json(text: str | bytes) -> GeneratorBundle:
     try:
         doc = json.loads(text)
-        seed = int(doc["seed"])
-        dims = GeneratorDims(**doc["dims"])
+        seed, fields = doc["seed"], doc["dims"]
+        if not (type(seed) is int and seed >= 0):
+            raise ValueError("seed must be a non-negative integer")
+        if not (isinstance(fields, dict)
+                and all(type(v) is int for v in fields.values())):
+            raise ValueError("dims must be an object of integers")
+        dims = GeneratorDims(**fields)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"invalid bundle JSON: {exc}") from exc
     return init_generator(seed, dims)

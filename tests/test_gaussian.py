@@ -105,6 +105,17 @@ class TestMahalanobis:
                 batch[i], gaussian.mahalanobis_sq_grad_batch(model, vs[i:i + 1])[0],
                 rtol=1e-12)
 
+    def test_non_finite_rows_give_non_finite_energies(self, small_model):
+        # a diverged inversion must see its non-finite latent, never a number
+        model, _ = small_model
+        vs = np.zeros((4, model.dim))
+        vs[1, 2], vs[2, 0], vs[3, 4] = np.nan, np.inf, -np.inf
+        with np.errstate(invalid="ignore"):
+            energy = gaussian.mahalanobis_sq_batch(model, vs)
+            grad = gaussian.mahalanobis_sq_grad_batch(model, vs)
+        assert np.isfinite(energy).tolist() == [True, False, False, False]
+        assert np.isfinite(grad).all(axis=1).tolist() == [True, False, False, False]
+
     def test_shape_errors(self, small_model):
         model, _ = small_model
         with pytest.raises(ValueError):

@@ -1,8 +1,9 @@
-"""Property tests of the latents and raw-image readers.
+"""Property tests of the latents, raw-image, model and bundle readers.
 
 Finite arrays round-trip through the `.lat` container and its JSON twin,
-and whatever bytes or text a reader is given, the only exception it raises
-is InputFormatError (exit code 3 at the command line).
+models and bundles through their JSON files, and whatever bytes or text a
+reader is given, the only exception it raises is InputFormatError (exit
+code 3 at the command line).
 """
 
 import json
@@ -15,7 +16,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from latentprior.errors import InputFormatError
-from latentprior.generator import image_from_f64_bytes, image_to_f64_bytes
+from latentprior.gaussian import fit_gaussian, model_from_json, model_to_json
+from latentprior.generator import (
+    GeneratorDims,
+    bundle_from_json,
+    bundle_to_json,
+    image_from_f64_bytes,
+    image_to_f64_bytes,
+    init_generator,
+)
 from latentprior.spaces import (
     latents_from_bytes,
     latents_from_json,
@@ -49,6 +58,26 @@ twin_like = st.fixed_dictionaries(
      "values": st.lists(json_scalars, max_size=8) | json_values}).map(json.dumps)
 any_text = st.text(max_size=64) | twin_like | json_values.map(json.dumps)
 
+# every model array holds d or d * d values, so keep d small
+samples = arrays(np.float64, st.tuples(st.integers(2, 12), st.integers(1, 6)),
+                 elements=st.floats(-1e3, 1e3))
+vectors = st.lists(json_scalars | st.just(10**400), max_size=16)
+model_like = st.fixed_dictionaries(
+    {"dim": sizes, "sample_count": sizes | st.just(10**400),
+     "epsilon": sizes, "mean_v": vectors, "mean_w": vectors, "cov_v": vectors,
+     "eigvals": vectors, "eigvecs": vectors}).map(json.dumps)
+
+# bundle dims have no upper bound, so a large draw would allocate without one
+small_dims = st.builds(
+    lambda d, h, m, s, c, base: GeneratorDims(d, h, m, s, c, base << (s - 1)),
+    st.integers(1, 16), st.integers(1, 16), st.integers(1, 3),
+    st.integers(1, 4), st.integers(1, 8), st.integers(1, 2))
+dim_values = st.integers(-2, 16) | json_scalars.filter(lambda v: type(v) is not int)
+bundle_like = st.fixed_dictionaries(
+    {"seed": sizes | st.just(10**400),
+     "dims": st.dictionaries(st.sampled_from(list(GeneratorDims.__dataclass_fields__)),
+                             dim_values) | json_values}).map(json.dumps)
+
 
 @properties
 @given(finite_rows)
@@ -81,6 +110,20 @@ def test_raw_image_round_trips_bit_for_bit(image):
     assert image_to_f64_bytes(image_from_f64_bytes(data, image.size)) == data
 
 
+@properties
+@given(samples)
+def test_model_json_round_trips_byte_for_byte(arr):
+    text = model_to_json(fit_gaussian(arr, arr[::-1]))
+    assert model_to_json(model_from_json(text)) == text
+
+
+@properties
+@given(st.integers(0, 2**64), small_dims)
+def test_bundle_json_round_trips_byte_for_byte(seed, dims):
+    text = bundle_to_json(init_generator(seed, dims))
+    assert bundle_to_json(bundle_from_json(text)) == text
+
+
 def _only_input_format_error(read, arg, *rest):
     try:
         read(arg, *rest)
@@ -98,6 +141,18 @@ def test_latents_from_bytes_raises_only_input_format_error(data):
 @given(any_text)
 def test_latents_from_json_raises_only_input_format_error(text):
     _only_input_format_error(latents_from_json, text)
+
+
+@properties
+@given(any_bytes | any_text | model_like)
+def test_model_from_json_raises_only_input_format_error(data):
+    _only_input_format_error(model_from_json, data)
+
+
+@properties
+@given(any_bytes | any_text | bundle_like)
+def test_bundle_from_json_raises_only_input_format_error(data):
+    _only_input_format_error(bundle_from_json, data)
 
 
 @properties
