@@ -228,6 +228,18 @@ def json_number(x: float) -> str:
     return "-0.0" if text == "-0" else text
 
 
+def json_array(values, shape, name: str) -> np.ndarray:
+    """A flat JSON list of numbers as a float64 array of the given shape.
+
+    Only JSON numbers count: a bool or a string raises ValueError, where
+    np.array would convert it.
+    """
+    if not (isinstance(values, list)
+            and all(type(v) in (int, float) for v in values)):
+        raise ValueError(f"{name} must be a flat list of JSON numbers")
+    return np.array(values, dtype=np.float64).reshape(shape)
+
+
 def _fmt_array(a: np.ndarray) -> str:
     return "[" + ", ".join(json_number(x) for x in np.asarray(a).ravel()) + "]"
 
@@ -265,11 +277,10 @@ def model_from_json(text: str | bytes) -> GaussianModel:
                              "an integer >= 2")
         if type(eps) not in (int, float):
             raise ValueError("epsilon must be a number")
-        mean_v = np.array(doc["mean_v"], dtype=np.float64).reshape(d)
-        mean_w = np.array(doc["mean_w"], dtype=np.float64).reshape(d)
-        cov_v = np.array(doc["cov_v"], dtype=np.float64).reshape(d, d)
-        eigvals = np.array(doc["eigvals"], dtype=np.float64).reshape(d)
-        eigvecs = np.array(doc["eigvecs"], dtype=np.float64).reshape(d, d)
+        mean_v, mean_w, eigvals = (json_array(doc[k], d, k)
+                                   for k in ("mean_v", "mean_w", "eigvals"))
+        cov_v, eigvecs = (json_array(doc[k], (d, d), k)
+                          for k in ("cov_v", "eigvecs"))
         eps = float(eps)
         if not all(np.all(np.isfinite(a))
                    for a in (mean_v, mean_w, cov_v, eigvals, eigvecs, eps)):

@@ -5,7 +5,11 @@ Two stages, mirroring the usual style-based pipeline at desk scale:
 * mapping network M: a chain of affine layers with leaky-ReLU (slope 0.2)
   activations, the final activation included, so that the corrected space V
   (leaky ReLU with slope 5.0 applied to W) recovers the final pre-activation
-  exactly.
+  exactly. map_latents runs it over near-equal row blocks of at least
+  MAP_BLOCK_ROWS rows (one block below twice that), so its memory does not
+  grow with the batch beyond the (n, d) input and output. On OpenBLAS such
+  blocks give the same bits as mapping the whole batch at once; batches of
+  37 rows or fewer round differently, which is why no block is short.
 * synthesis network G: starts from a learned constant feature map and runs
   one stage per scale. Each stage upsamples by 2 (except the first),
   modulates features with a per-channel scale and bias computed from that
@@ -50,6 +54,15 @@ NOISE_STD = 0.25
 # the reconstruction-loss scale relative to the latent prior so the default
 # prior weights sit in their useful range.
 OUT_GAIN = 0.5
+# Fewest rows in one block of the mapping forward pass. No block may be
+# short: on OpenBLAS, 37 rows or fewer round differently from the same rows
+# inside a larger product, while blocks this size give the whole batch's bits.
+MAP_BLOCK_ROWS = 4096
+# Largest value of each GeneratorDims field. (seed, dims) is all a bundle
+# file holds, so these bound what one can make init_generator allocate:
+# under 0.5 GB of weights, most of it 8 mapping layers of 2048 x 2048.
+DIM_LIMITS = {"latent_dim": 1024, "hidden_dim": 2048, "mapping_layers": 8,
+              "scales": 8, "channels": 64, "image_size": 512}
 
 
 @dataclass(frozen=True)
@@ -64,10 +77,9 @@ class GeneratorDims:
     image_size: int = 16
 
     def __post_init__(self):
-        for name in ("latent_dim", "hidden_dim", "mapping_layers", "scales",
-                     "channels", "image_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for name, limit in DIM_LIMITS.items():
+            if not 1 <= getattr(self, name) <= limit:
+                raise ValueError(f"{name} must be in [1, {limit}]")
         if self.image_size % (1 << (self.scales - 1)) != 0:
             raise ValueError(
                 f"image_size {self.image_size} not reachable from "
@@ -175,17 +187,35 @@ def sample_styles(bundle: GeneratorBundle, seed, n: int) -> np.ndarray:
     return map_latents(bundle, sample_z(rng, n, bundle.dims.latent_dim))
 
 
+def _row_blocks(a: np.ndarray) -> list:
+    """Near-equal row blocks of a, none shorter than MAP_BLOCK_ROWS.
+
+    Fewer than 2 * MAP_BLOCK_ROWS rows, an empty input included, stay one
+    block, shorter than MAP_BLOCK_ROWS if a is.
+    """
+    return np.array_split(a, max(1, len(a) // MAP_BLOCK_ROWS))
+
+
 def map_latents(bundle: GeneratorBundle, zs) -> np.ndarray:
-    """Batched mapping-network forward pass: (n, d) -> (n, d) styles."""
+    """Batched mapping-network forward pass: (n, d) -> (n, d) styles.
+
+    Runs over row blocks (see _row_blocks), so memory beyond the input and
+    the output stays two (block rows, hidden_dim) buffers at any n.
+    """
     a = np.asarray(zs, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != bundle.dims.latent_dim:
         raise ValueError(
             f"expected (n, {bundle.dims.latent_dim}) inputs, got {a.shape}"
         )
-    for w, b in zip(bundle.mapping.weights, bundle.mapping.biases):
-        pre = a @ w.T + b
-        a = np.where(pre >= 0, pre, ACT_SLOPE * pre)
-    return a
+    out = np.empty(a.shape)
+    for x, dst in zip(_row_blocks(a), _row_blocks(out)):
+        for w, b in zip(bundle.mapping.weights, bundle.mapping.biases):
+            x = x @ w.T  # drops the previous layer's block
+            x += b
+            # the same bits as np.where(x >= 0, x, ACT_SLOPE * x)
+            np.maximum(x, ACT_SLOPE * x, out=x)
+        dst[...] = x
+    return out
 
 
 def _check_stacks(bundle: GeneratorBundle, stacks) -> np.ndarray:
@@ -322,6 +352,8 @@ def bundle_from_json(text: str | bytes) -> GeneratorBundle:
         if not (isinstance(fields, dict)
                 and all(type(v) is int for v in fields.values())):
             raise ValueError("dims must be an object of integers")
+        if fields.keys() != DIM_LIMITS.keys():
+            raise ValueError(f"dims must hold exactly {sorted(DIM_LIMITS)}")
         dims = GeneratorDims(**fields)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"invalid bundle JSON: {exc}") from exc

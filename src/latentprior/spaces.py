@@ -24,7 +24,7 @@ import struct
 import numpy as np
 
 from .errors import InputFormatError
-from .gaussian import GaussianModel, json_number, mahalanobis_sq_batch
+from .gaussian import GaussianModel, json_array, json_number, mahalanobis_sq_batch
 
 # Negative slopes of the two inverse leaky ReLUs. 0.2 * 5.0 is not exactly 1
 # in binary floating point; round trips are exact to within 4 ulp.
@@ -149,7 +149,7 @@ def latents_from_json(text: str) -> np.ndarray:
         rows, dim = doc["rows"], doc["dim"]
         if not all(type(n) is int and n >= 0 for n in (rows, dim)):
             raise ValueError("rows and dim must be non-negative integers")
-        arr = np.array(doc["values"], dtype=np.float64).reshape(rows, dim)
+        arr = json_array(doc["values"], (rows, dim), "values")
     except (json.JSONDecodeError, KeyError, ValueError, TypeError,
             OverflowError) as exc:
         raise InputFormatError(f"invalid latent JSON: {exc}") from exc

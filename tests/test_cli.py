@@ -171,10 +171,12 @@ class TestExitCodes:
         lambda doc: {**doc, "sample_count": -5},
         lambda doc: {**doc, "dim": str(doc["dim"])},
         lambda doc: {**doc, "epsilon": "0.5"},
+        lambda doc: {**doc, "mean_v": [True] + doc["mean_v"][1:]},
+        lambda doc: {**doc, "cov_v": doc["cov_v"][:-1] + ["0.5"]},
     ], ids=["cov-not-positive-definite", "dim", "epsilon", "sample-count",
             "not-an-object", "nan-mean", "infinite-eigval", "infinite-sample-count",
             "infinite-dim", "fractional-sample-count", "negative-sample-count",
-            "dim-as-text", "epsilon-as-text"])
+            "dim-as-text", "epsilon-as-text", "boolean-mean", "covariance-as-text"])
     def test_malformed_model_is_input_error(self, ws, tmp_path, capsys, corrupt):
         doc = corrupt(json.loads(ws["model"].read_text()))
         bad = tmp_path / "model.json"
@@ -192,8 +194,14 @@ class TestExitCodes:
         lambda doc: {**doc, "seed": 2.7},
         lambda doc: {**doc, "dims": {**doc["dims"], "latent_dim": 2.5}},
         lambda doc: {**doc, "dims": {**doc["dims"], "scales": True}},
+        lambda doc: {**doc, "dims": {}},
+        lambda doc: {**doc, "dims": {k: v for k, v in doc["dims"].items()
+                                     if k != "channels"}},
+        lambda doc: {**doc, "dims": {**doc["dims"], "hidden_dim": 10**12}},
+        lambda doc: {**doc, "dims": {**doc["dims"], "image_size": 1 << 20}},
     ], ids=["infinite-seed", "negative-seed", "fractional-seed",
-            "fractional-latent-dim", "boolean-scales"])
+            "fractional-latent-dim", "boolean-scales", "empty-dims",
+            "missing-channels", "huge-hidden-dim", "huge-image-size"])
     def test_malformed_bundle_is_input_error(self, ws, tmp_path, capsys, corrupt):
         bad = tmp_path / "bundle.json"
         bad.write_text(json.dumps(corrupt(json.loads(ws["bundle"].read_text()))))
@@ -265,6 +273,21 @@ class TestExitCodes:
         assert err.startswith("input error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["correct", "experiment pc-profile"])
+    @pytest.mark.parametrize("element", ["1.5", True, None])
+    def test_latents_element_that_is_not_a_number_is_input_error(
+            self, ws, tmp_path, capsys, command, element):
+        bad = tmp_path / "latents.json"
+        bad.write_text(json.dumps({"rows": 1, "dim": 32,
+                                   "values": [element] + [0.5] * 31}))
+        capsys.readouterr()
+        rc = run(*command.split(), "--model", ws["model"], "--latents", bad,
+                 "--out", tmp_path / "o")
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("input error: ") and err.count("\n") == 1
+        assert "JSON numbers" in err
+
+    @pytest.mark.parametrize("command", ["correct", "experiment pc-profile"])
     def test_latents_of_the_wrong_width_are_input_error(self, ws, tmp_path, capsys,
                                                         command):
         bad = tmp_path / "narrow.lat"
@@ -304,6 +327,12 @@ class TestExitCodes:
 
     def test_unreachable_image_size_is_usage(self, tmp_path):
         assert run("init-gan", "--image-size", 10, "--out", tmp_path / "o") == 2
+
+    def test_dims_above_their_limit_are_usage(self, tmp_path, capsys):
+        capsys.readouterr()
+        rc = run("init-gan", "--hidden-dim", 4096, "--out", tmp_path / "o")
+        assert rc == 2
+        assert capsys.readouterr().err == "error: hidden_dim must be in [1, 2048]\n"
 
     @pytest.mark.parametrize("command", [
         ["invert", "--target", "TARGET"],
@@ -729,3 +758,54 @@ class TestReplay:
         doc = manifest_of(tmp_path / "o")
         resolved = _resolve(_COMMANDS[command], {}, {**doc["config"], **doc["inputs"]})
         assert resolved == (doc["config"], doc["inputs"])
+
+
+def _numbers_in(path: Path) -> np.ndarray:
+    """Every number one output file holds, read by the file's format."""
+    if path.suffix == ".json":
+        numbers = []
+
+        def constant(name):
+            raise AssertionError(f"{path.name} holds {name}")
+
+        def number(text):
+            numbers.append(float(text))  # 1e400 reads as inf
+            return numbers[-1]
+
+        json.loads(path.read_text(), parse_constant=constant, parse_float=number)
+        return np.array(numbers)
+    if path.suffix == ".csv":
+        numbers = []
+        for field in path.read_text().replace("\n", ",").split(","):
+            try:
+                numbers.append(float(field))  # takes nan, inf, NaN, Infinity
+            except ValueError:
+                pass  # a header or a condition label
+        return np.array(numbers)
+    if path.suffix == ".f64":
+        return np.frombuffer(path.read_bytes(), dtype="<f8")
+    if path.suffix == ".lat":
+        return np.frombuffer(path.read_bytes(), dtype="<f8", offset=16)
+    assert path.suffix == ".ppm", f"unexpected output file {path.name}"
+    return np.array([])  # 8-bit pixels
+
+
+# every command, and the two experiments again with every inversion diverging
+FINITE_RUNS = {**TestReplay.RUNS, **{
+    f"{command} diverging": [*TestReplay.RUNS[command][:4], "--spaces", "w",
+                             "--images", 3, "--pairs", 2, "--iters", 20,
+                             "--learning-rate", 1e308, *weights]
+    for command, weights in [("experiment interpolation", ["--lambdas", "0,1e-4"]),
+                             ("experiment lambda-sweep", ["--grid", "0,1e-4"])]}}
+
+
+@pytest.mark.parametrize("run_name", list(FINITE_RUNS))
+def test_no_output_file_holds_a_non_finite_number(ws, tmp_path, run_name):
+    argv = [ws.get(a, a) if isinstance(a, str) else a for a in FINITE_RUNS[run_name]]
+    command = run_name.removesuffix(" diverging").split()
+    out = tmp_path / "o"
+    assert run(*command, *argv, "--out", out) == 0
+    paths = sorted(p for p in out.rglob("*") if p.is_file())
+    assert len(paths) >= 3  # the manifest, timing.json and an output
+    for path in paths:
+        assert np.all(np.isfinite(_numbers_in(path))), path.relative_to(out)

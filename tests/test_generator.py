@@ -1,9 +1,13 @@
+import json
+import tracemalloc
+from dataclasses import asdict, fields
+
 import numpy as np
 import pytest
 
 from latentprior import generator
 from latentprior.errors import InputFormatError
-from latentprior.generator import GeneratorDims
+from latentprior.generator import DIM_LIMITS, MAP_BLOCK_ROWS, GeneratorDims
 
 
 class TestDims:
@@ -20,6 +24,16 @@ class TestDims:
     def test_nonpositive_field_rejected(self):
         with pytest.raises(ValueError):
             GeneratorDims(latent_dim=0)
+
+    def test_every_field_has_a_limit(self):
+        assert list(DIM_LIMITS) == [f.name for f in fields(GeneratorDims)]
+        defaults = asdict(GeneratorDims())
+        assert all(1 <= defaults[k] <= limit for k, limit in DIM_LIMITS.items())
+
+    @pytest.mark.parametrize("name", list(DIM_LIMITS))
+    def test_field_above_its_limit_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be in"):
+            GeneratorDims(**{name: DIM_LIMITS[name] + 1})
 
 
 class TestInit:
@@ -115,6 +129,73 @@ class TestSampling:
             np.testing.assert_allclose(
                 batch[i], generator.map_latents(bundle, zs[i:i + 1])[0],
                 rtol=1e-12, atol=1e-14)
+
+
+def _map_whole_batch(bundle, zs):
+    """The mapping forward pass as a plain per-layer loop over every row."""
+    a = zs
+    for w, b in zip(bundle.mapping.weights, bundle.mapping.biases):
+        pre = a @ w.T + b
+        a = np.where(pre >= 0, pre, generator.ACT_SLOPE * pre)
+    return a
+
+
+class TestBlockedMapping:
+    N = 3 * MAP_BLOCK_ROWS + 1  # three blocks, split unevenly
+
+    @pytest.fixture(scope="class")
+    def zs(self, bundle):
+        return generator.sample_z(np.random.default_rng(6), self.N,
+                                  bundle.dims.latent_dim)
+
+    def test_matches_the_whole_batch_loop(self, bundle, zs):
+        # bitwise equal on OpenBLAS; whether a block rounds as the whole
+        # batch does depends on the BLAS kernel, so allow a few ulp
+        want = _map_whole_batch(bundle, zs)
+        got = generator.map_latents(bundle, zs)
+        ulp = np.finfo(np.float64).eps * np.abs(want).max()
+        np.testing.assert_allclose(got, want, rtol=0, atol=8 * ulp)
+
+    def test_two_runs_are_bitwise_equal(self, bundle, zs):
+        assert generator.map_latents(bundle, zs).tobytes() == \
+            generator.map_latents(bundle, zs).tobytes()
+
+    def test_no_block_is_short(self, bundle, zs, monkeypatch):
+        splits = []
+        split = generator._row_blocks
+
+        def spy(a):
+            blocks = split(a)
+            splits.append([len(block) for block in blocks])
+            return blocks
+
+        monkeypatch.setattr(generator, "_row_blocks", spy)
+        generator.map_latents(bundle, zs)
+        assert splits  # the inputs and the output, split alike
+        assert all(s == [MAP_BLOCK_ROWS + 1] + [MAP_BLOCK_ROWS] * 2 for s in splits)
+
+    @pytest.mark.parametrize("n, count", [
+        (0, 1), (1, 1), (MAP_BLOCK_ROWS - 1, 1), (2 * MAP_BLOCK_ROWS - 1, 1),
+        (2 * MAP_BLOCK_ROWS, 2), (5 * MAP_BLOCK_ROWS + 3, 5)])
+    def test_row_blocks_are_near_equal(self, n, count):
+        sizes = [len(block) for block in generator._row_blocks(np.empty((n, 1)))]
+        assert len(sizes) == count and sum(sizes) == n
+        assert max(sizes) - min(sizes) <= 1
+        assert count == 1 or min(sizes) >= MAP_BLOCK_ROWS
+
+    def test_peak_allocation_stays_under_one_whole_batch_layer(self, bundle):
+        n = 5 * MAP_BLOCK_ROWS
+        zs = generator.sample_z(np.random.default_rng(7), n, bundle.dims.latent_dim)
+        tracemalloc.start()
+        try:
+            generator.map_latents(bundle, zs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two (block, hidden) buffers and the (n, d) output, where mapping
+        # all rows at once held about four (n, hidden) arrays
+        one_layer = n * bundle.dims.hidden_dim * 8
+        assert peak < one_layer / 2
 
 
 class TestSynthesis:
@@ -283,6 +364,28 @@ class TestBundleSerialization:
             generator.bundle_from_json('{"seed": 1}')
         with pytest.raises(InputFormatError):
             generator.bundle_from_json("nope")
+
+    @pytest.mark.parametrize("dims", [
+        {}, {"latent_dim": 32},
+        {**asdict(GeneratorDims()), "extra": 1}], ids=["empty", "partial", "extra"])
+    def test_dims_must_name_every_field(self, dims):
+        with pytest.raises(InputFormatError, match="dims must hold exactly"):
+            generator.bundle_from_json(json.dumps({"seed": 3, "dims": dims}))
+
+    @pytest.mark.parametrize("name", list(DIM_LIMITS))
+    @pytest.mark.parametrize("value", ["limit", 10**18])
+    def test_oversized_dims_rejected_before_allocating(self, name, value):
+        dims = {**asdict(GeneratorDims()),
+                name: DIM_LIMITS[name] + 1 if value == "limit" else value}
+        text = json.dumps({"seed": 3, "dims": dims})
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputFormatError, match=f"{name} must be in"):
+                generator.bundle_from_json(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestImageFiles:

@@ -3,7 +3,8 @@
 Finite arrays round-trip through the `.lat` container and its JSON twin,
 models and bundles through their JSON files, and whatever bytes or text a
 reader is given, the only exception it raises is InputFormatError (exit
-code 3 at the command line).
+code 3 at the command line). An array element that is not a JSON number
+(a bool, a string, null, a list or an object) is refused, never converted.
 """
 
 import json
@@ -67,16 +68,26 @@ model_like = st.fixed_dictionaries(
      "epsilon": sizes, "mean_v": vectors, "mean_w": vectors, "cov_v": vectors,
      "eigvals": vectors, "eigvecs": vectors}).map(json.dumps)
 
-# bundle dims have no upper bound, so a large draw would allocate without one
+# every element type JSON has other than a number
+non_numbers = (st.booleans() | st.text(max_size=4) | st.none()
+               | st.lists(st.floats(0, 1), max_size=2)
+               | st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+_MODEL_ARRAYS = ("mean_v", "mean_w", "cov_v", "eigvals", "eigvecs")
+
+# dims up to their limits would draw up to 0.5 GB of weights; keep them small
 small_dims = st.builds(
     lambda d, h, m, s, c, base: GeneratorDims(d, h, m, s, c, base << (s - 1)),
     st.integers(1, 16), st.integers(1, 16), st.integers(1, 3),
     st.integers(1, 4), st.integers(1, 8), st.integers(1, 2))
-dim_values = st.integers(-2, 16) | json_scalars.filter(lambda v: type(v) is not int)
+# small values, values past every dim limit, and values of other JSON types
+dim_values = (st.integers(-2, 16) | st.sampled_from([2049, 10**18])
+              | json_scalars.filter(lambda v: type(v) is not int))
+dim_names = list(GeneratorDims.__dataclass_fields__)
 bundle_like = st.fixed_dictionaries(
     {"seed": sizes | st.just(10**400),
-     "dims": st.dictionaries(st.sampled_from(list(GeneratorDims.__dataclass_fields__)),
-                             dim_values) | json_values}).map(json.dumps)
+     "dims": st.dictionaries(st.sampled_from(dim_names), dim_values)
+     | st.fixed_dictionaries(dict.fromkeys(dim_names, dim_values))
+     | json_values}).map(json.dumps)
 
 
 @properties
@@ -122,6 +133,36 @@ def test_model_json_round_trips_byte_for_byte(arr):
 def test_bundle_json_round_trips_byte_for_byte(seed, dims):
     text = bundle_to_json(init_generator(seed, dims))
     assert bundle_to_json(bundle_from_json(text)) == text
+
+
+def _replace_one(values, data, bad):
+    """values with the element at a drawn index replaced by bad."""
+    i = data.draw(st.integers(0, len(values) - 1))
+    return values[:i] + [bad] + values[i + 1:]
+
+
+@properties
+@given(finite_rows.filter(lambda a: a.size > 0), non_numbers, st.data())
+def test_latents_json_element_must_be_a_number(arr, bad, data):
+    doc = json.loads(latents_to_json(arr))
+    doc["values"] = _replace_one(doc["values"], data, bad)
+    with pytest.raises(InputFormatError, match="JSON numbers"):
+        latents_from_json(json.dumps(doc))
+
+
+@properties
+@given(samples, st.sampled_from(_MODEL_ARRAYS), non_numbers, st.data())
+def test_model_json_element_must_be_a_number(arr, key, bad, data):
+    doc = json.loads(model_to_json(fit_gaussian(arr, arr[::-1])))
+    doc[key] = _replace_one(doc[key], data, bad)
+    with pytest.raises(InputFormatError, match=f"{key} must be a flat list"):
+        model_from_json(json.dumps(doc))
+
+
+def test_text_and_bool_elements_are_not_converted():
+    text = '{"rows": 1, "dim": 2, "values": ["1.5", true]}'
+    with pytest.raises(InputFormatError, match="values must be a flat list"):
+        latents_from_json(text)
 
 
 def _only_input_format_error(read, arg, *rest):
