@@ -148,6 +148,12 @@ def mahalanobis_sq_grad_batch(model: GaussianModel, vs) -> np.ndarray:
     return 2.0 * _whiten(model, vs) @ model.chol_inv
 
 
+def mahalanobis_sq_and_grad_batch(model: GaussianModel, vs):
+    """Both of the above from one whitening: ((n,) energies, (n, d) gradients)."""
+    y = _whiten(model, vs)
+    return np.einsum("ij,ij->i", y, y), 2.0 * y @ model.chol_inv
+
+
 def sample_latents(model: GaussianModel, seed, n: int) -> np.ndarray:
     """Draw n rows mu + chol @ xi with xi standard normal.
 

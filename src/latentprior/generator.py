@@ -173,8 +173,10 @@ def sample_z(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     kept = []
     while n > 0:
         zs = rng.standard_normal((n, d))
-        # the 1-D norm of each row; axis-wise norms round differently
-        norms = np.array([np.sqrt(z @ z) for z in zs])
+        # each row's 1 x d by d x 1 product goes to the same BLAS dot as
+        # z @ z on that row, so the norms keep its bits; np.linalg.norm
+        # and einsum sum in another order
+        norms = np.sqrt((zs[:, None, :] @ zs[:, :, None])[:, 0, 0])
         ok = norms > 1e-12
         kept.append(zs[ok] / norms[ok, None])
         n -= int(np.count_nonzero(ok))

@@ -5,12 +5,18 @@ W (one style at every scale) or W+ (one style per scale), as one case: a
 latent is (r, d) rows, r = 1 for W and s for W+, that lift_rows turns into
 the (s, d) stack; public latents are (d,) for W and (s, d) for W+. The
 prior is the Gaussian energy in the corrected space V, summed over the
-rows. The loss is built once per target, and each iteration makes one
-synthesize_vjp_batch call: one forward pass, whose image feeds the loss,
-then the backward pass. Optimization starts at the empirical W mean and,
-following the usual projector recipe, perturbs the latent with ramped-down
-Gaussian noise during the early iterations: the noise enters the forward
+rows. Optimization starts at the empirical W mean and, following the
+usual projector recipe, perturbs the latent with ramped-down Gaussian
+noise during the early iterations: the noise enters the forward
 evaluation only, the update is applied to the clean latent.
+
+invert_batch solves n such problems in lockstep over (n, r, d) rows. The
+loss is built once for all n targets, and each iteration makes one
+synthesize_vjp_batch call (one forward pass, whose images feed the loss,
+then the backward pass), one prior whitening of the (n * r, d) rows and
+one ADAM step on the batch state. Each problem has its own noise stream
+and moments and reads nothing of the others; one that diverges is
+frozen, with its update masked to zero. invert is the case n = 1.
 """
 
 from __future__ import annotations
@@ -25,10 +31,12 @@ from . import features
 from .errors import NumericalFailure
 from .gaussian import (
     GaussianModel,
-    mahalanobis_sq_batch,
-    mahalanobis_sq_grad_batch,
+    mahalanobis_sq_and_grad_batch,
     sample_latents,
 )
+# not called here: the benchmark's tracer (perfbench/spans.py) wraps them
+# under these names, and tests/test_benchmark_names.py pins them
+from .gaussian import mahalanobis_sq_batch, mahalanobis_sq_grad_batch  # noqa: F401
 from .generator import (GeneratorBundle, GeneratorDims, synthesize_batch,
                         synthesize_vjp_batch)
 from .seeding import STREAM_INVERT_NOISE, STREAM_W_STD, rng_from
@@ -200,18 +208,24 @@ def w_std_norm(model: GaussianModel) -> float:
 
 
 def _eval_objective(loss_fn, bundle, model, prior_weight: float, rows):
-    """Loss, prior energy, and total gradient at (r, d) latent rows (no noise)."""
-    stacks = lift_rows(rows[None], bundle.dims.scales)
-    _, losses, g_stacks = synthesize_vjp_batch(bundle, stacks, loss_fn)
-    grad = lift_rows_adjoint(g_stacks[0], rows.shape[0])
+    """Losses, prior energies and total gradients at (n, r, d) latent rows.
 
-    prior = 0.0
+    Returns (n,) losses, (n,) priors (zeros when the weight is 0) and the
+    (n, r, d) gradients; row i depends on problem i alone.
+    """
+    n, r, d = rows.shape
+    stacks = lift_rows(rows, bundle.dims.scales)
+    _, losses, g_stacks = synthesize_vjp_batch(bundle, stacks, loss_fn)
+    grad = lift_rows_adjoint(g_stacks, r)
+
+    priors = np.zeros(n)
     if prior_weight > 0:
-        vs = w_to_v(rows)
-        prior = float(np.sum(mahalanobis_sq_batch(model, vs)))
-        g_prior = mahalanobis_sq_grad_batch(model, vs) * lru_deriv(rows, SLOPE_W_TO_V)
+        energies, g_prior = mahalanobis_sq_and_grad_batch(
+            model, w_to_v(rows).reshape(n * r, d))
+        priors = energies.reshape(n, r).sum(axis=1)
+        g_prior = g_prior.reshape(n, r, d) * lru_deriv(rows, SLOPE_W_TO_V)
         grad = grad + prior_weight * g_prior
-    return float(losses[0]), prior, grad
+    return losses, priors, grad
 
 
 def _rows_of(latent, shape: tuple[int, ...]) -> np.ndarray:
@@ -229,80 +243,131 @@ def objective_and_gradient(target_image, bundle: GeneratorBundle,
     shape = latent_shape(config.target_space, bundle.dims)
     target = np.asarray(target_image, dtype=np.float64)
     loss_fn = _row_loss(target[None], config.loss_kind)
-    loss, prior, grad = _eval_objective(loss_fn, bundle, model, config.prior_weight,
-                                        _rows_of(latent, shape))
-    return loss + config.prior_weight * prior, grad.reshape(shape)
+    losses, priors, grads = _eval_objective(loss_fn, bundle, model,
+                                            config.prior_weight,
+                                            _rows_of(latent, shape)[None])
+    return float(losses[0] + config.prior_weight * priors[0]), grads[0].reshape(shape)
 
 
 # a diverging latent overflows on its way to a non-finite loss; the isfinite
 # checks report that, so numpy's warnings would only repeat it
 @np.errstate(over="ignore", invalid="ignore")
-def invert(target_image, bundle: GeneratorBundle, model: GaussianModel,
-           config: InversionConfig, init_latent=None) -> InversionResult:
-    """Solve the inversion problem for one target image.
+def invert_batch(targets, bundle: GeneratorBundle, model: GaussianModel,
+                 config: InversionConfig, seeds, init_latents=None) -> list:
+    """Solve one inversion problem per row of ``targets`` (n, pixels), in lockstep.
 
-    ``init_latent`` overrides the default start at the empirical W mean
-    (on every row); the override is what oracle-mode experiments use.
+    Problem i draws its noise from ``seeds[i]`` (``config.seed`` is not read)
+    and starts at ``init_latents[i]``, or at the empirical W mean on every
+    row when ``init_latents`` is None. Every iteration evaluates the whole
+    batch at once, but no problem reads another's numbers, so each result
+    agrees with a lone ``invert`` of its target to rounding. A problem
+    whose loss or prior turns non-finite is frozen: its update is masked
+    to zero from then on, and the others run on unchanged.
+
+    Returns a list with, for each target, an InversionResult or the
+    NumericalFailure of its diverged problem.
     """
-    target = np.asarray(target_image, dtype=np.float64)
-    if target.shape != (bundle.dims.pixels,):
+    targets = np.asarray(targets, dtype=np.float64)
+    pixels = bundle.dims.pixels
+    if targets.ndim != 2 or targets.shape[0] < 1 or targets.shape[1] != pixels:
         raise ValueError(
-            f"target has shape {target.shape}, expected ({bundle.dims.pixels},)"
+            f"targets have shape {targets.shape}, expected (n, {pixels}), n >= 1"
         )
+    n = targets.shape[0]
+    if len(seeds) != n:
+        raise ValueError(f"{len(seeds)} seeds for {n} targets")
     if model.dim != bundle.dims.latent_dim:
         raise ValueError(
             f"model dim {model.dim} != generator latent dim {bundle.dims.latent_dim}"
         )
     shape = latent_shape(config.target_space, bundle.dims)
-    start = np.broadcast_to(model.mean_w, shape) if init_latent is None else init_latent
-    rows = _rows_of(start, shape)
-    loss_fn = _row_loss(target[None], config.loss_kind)
+    if init_latents is None:
+        init_latents = [np.broadcast_to(model.mean_w, shape)] * n
+    elif len(init_latents) != n:
+        raise ValueError(f"{len(init_latents)} initial latents for {n} targets")
+    rows = np.stack([_rows_of(latent, shape) for latent in init_latents])
+    loss_fn = _row_loss(targets, config.loss_kind)
 
     iterations = config.resolved_iterations
     lr = config.resolved_learning_rate
     ramp = config.noise_ramp
-    noise_rng = rng_from(config.seed, STREAM_INVERT_NOISE)
+    noise_rngs = [rng_from(seed, STREAM_INVERT_NOISE) for seed in seeds]
+    noise = np.empty(rows.shape)  # C order: each draw fills its rows in order
     sigma0 = ramp.initial_std_factor * w_std_norm(model) \
         if ramp.initial_std_factor > 0 else 0.0
 
     state = AdamState.fresh(rows.shape)
-    loss_trace = np.zeros(iterations)
-    prior_trace = np.zeros(iterations)
+    loss_trace = np.zeros((iterations, n))  # row t: every problem's iteration t
+    prior_trace = np.zeros((iterations, n))
+    failures = [None] * n
+    alive = np.ones(n, dtype=bool)
+    frozen = None  # once a problem fails: the (n, 1, 1) mask of the live ones
 
     for t in range(iterations):
         decay = max(0.0, 1.0 - t / (ramp.ramp_fraction * iterations)) ** 2
         std_t = sigma0 * decay
         if std_t > 0:
-            eval_rows = rows + std_t * noise_rng.standard_normal(rows.shape)
+            for rng, out in zip(noise_rngs, noise):
+                rng.standard_normal(out=out)
+            eval_rows = rows + std_t * noise
         else:
             eval_rows = rows
-        loss, prior, grad = _eval_objective(loss_fn, bundle, model,
-                                            config.prior_weight, eval_rows)
-        if not np.isfinite(loss) or not np.isfinite(prior):
-            raise NumericalFailure(
-                f"inversion diverged at iteration {t} (loss={loss}, prior={prior})",
-                iteration=t,
-            )
-        loss_trace[t] = loss
-        prior_trace[t] = prior
+        losses, priors, grad = _eval_objective(loss_fn, bundle, model,
+                                               config.prior_weight, eval_rows)
+        loss_trace[t] = losses
+        prior_trace[t] = priors
+        finite = np.isfinite(losses) & np.isfinite(priors)
+        if not finite.all():
+            for i in np.flatnonzero(alive & ~finite):
+                failures[i] = NumericalFailure(
+                    f"inversion diverged at iteration {t} "
+                    f"(loss={float(losses[i])}, prior={float(priors[i])})",
+                    iteration=t,
+                )
+            alive &= finite
+            if not alive.any():
+                break
+            frozen = alive[:, None, None]
         state, delta = adam_step(state, grad, lr, ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
-        rows = rows + delta
+        rows = rows + (delta if frozen is None else np.where(frozen, delta, 0.0))
 
-    final_image = synthesize_batch(bundle, lift_rows(rows[None], bundle.dims.scales))
-    final_errors, _ = loss_fn(final_image)
-    if not np.isfinite(final_errors[0]):
-        raise NumericalFailure(
-            f"inversion diverged in its last step (loss={final_errors[0]})",
-            iteration=iterations,
-        )
-    return InversionResult(
-        latent=rows.reshape(shape),
-        loss_trace=loss_trace,
-        prior_trace=prior_trace,
-        final_image_error=float(final_errors[0]),
-        iterations_run=iterations,
-        final_image=final_image[0],
-    )
+    if alive.any():
+        final_images = synthesize_batch(bundle, lift_rows(rows, bundle.dims.scales))
+        final_errors, _ = loss_fn(final_images)
+    results = []
+    for i in range(n):
+        if failures[i] is None and not np.isfinite(final_errors[i]):
+            failures[i] = NumericalFailure(
+                f"inversion diverged in its last step (loss={float(final_errors[i])})",
+                iteration=iterations,
+            )
+        if failures[i] is not None:
+            results.append(failures[i])
+            continue
+        results.append(InversionResult(
+            latent=rows[i].reshape(shape),
+            loss_trace=loss_trace[:, i].copy(),
+            prior_trace=prior_trace[:, i].copy(),
+            final_image_error=float(final_errors[i]),
+            iterations_run=iterations,
+            final_image=final_images[i],
+        ))
+    return results
+
+
+def invert(target_image, bundle: GeneratorBundle, model: GaussianModel,
+           config: InversionConfig, init_latent=None) -> InversionResult:
+    """Solve the inversion problem for one target image: invert_batch at n = 1.
+
+    ``init_latent`` overrides the default start at the empirical W mean
+    (on every row); the override is what oracle-mode experiments use.
+    Raises NumericalFailure when the problem diverges.
+    """
+    init = None if init_latent is None else [init_latent]
+    (result,) = invert_batch([target_image], bundle, model, config, [config.seed], init)
+    if isinstance(result, NumericalFailure):
+        raise result
+    return result
 
 
 def result_to_json(result: InversionResult, config: InversionConfig) -> str:

@@ -72,8 +72,9 @@ def lift_rows(rows, scales: int) -> np.ndarray:
 
 
 def lift_rows_adjoint(stack_grad, rows: int) -> np.ndarray:
-    """Adjoint of lift_rows for one (s, d) gradient: the sum over each row's scales."""
-    return stack_grad.reshape(rows, -1, stack_grad.shape[-1]).sum(axis=1)
+    """Adjoint of lift_rows for (..., s, d) gradients: the sum over each row's scales."""
+    lead, d = stack_grad.shape[:-2], stack_grad.shape[-1]
+    return stack_grad.reshape(lead + (rows, -1, d)).sum(axis=-2)
 
 
 def mahalanobis_sq_plus(model: GaussianModel, stack) -> float:

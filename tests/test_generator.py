@@ -110,6 +110,33 @@ class TestSampling:
         rows = np.concatenate([generator.sample_z(one_row, 1, d) for _ in range(3)])
         assert np.array_equal(zs, rows) and one_row.used == stream.used
 
+    @staticmethod
+    def _loop_sample_z(stream, n, d):
+        """The per-row loop sample_z once ran, the oracle of its bits."""
+        kept = []
+        while n > 0:
+            zs = stream.standard_normal((n, d))
+            norms = np.array([np.sqrt(z @ z) for z in zs])
+            ok = norms > 1e-12
+            kept.append(zs[ok] / norms[ok, None])
+            n -= int(np.count_nonzero(ok))
+        return np.concatenate(kept)
+
+    @pytest.mark.parametrize("n,d", [(100000, 32), (7, 32), (1000, 1),
+                                     (3000, 17), (50, 512)])
+    def test_sample_z_keeps_the_bits_of_the_row_loop(self, n, d):
+        zs = generator.sample_z(np.random.default_rng(21), n, d)
+        ref = self._loop_sample_z(np.random.default_rng(21), n, d)
+        assert zs.tobytes() == ref.tobytes()
+
+    def test_sample_z_rejection_keeps_the_bits_of_the_row_loop(self):
+        d = 9
+        values = np.random.default_rng(22).standard_normal((12, d))
+        values[[2, 5]] = 0.0
+        zs = generator.sample_z(_FixedStream(values), 10, d)
+        ref = self._loop_sample_z(_FixedStream(values), 10, d)
+        assert zs.tobytes() == ref.tobytes()
+
     def test_sample_z_rejects_empty_shapes(self, rng):
         for n, d in ((0, 4), (3, 0)):
             with pytest.raises(ValueError, match="must be >= 1"):

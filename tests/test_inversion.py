@@ -1,6 +1,7 @@
 """Optimizer step, reconstruction losses, and the inversion loop."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -8,9 +9,13 @@ import pytest
 
 from latentprior import features, generator
 from latentprior.errors import NumericalFailure
-from latentprior.gaussian import fit_gaussian, mahalanobis_sq_batch
-from latentprior.generator import sample_styles, synthesize_batch
+from latentprior.gaussian import (fit_gaussian, mahalanobis_sq_batch,
+                                  mahalanobis_sq_grad_batch)
+from latentprior.generator import sample_styles, synthesize_batch, synthesize_vjp_batch
 from latentprior.inversion import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     LOSS_PIXEL,
     LOSS_PROXY,
     SPACE_W,
@@ -20,12 +25,15 @@ from latentprior.inversion import (
     NoiseRamp,
     adam_step,
     invert,
+    invert_batch,
+    latent_shape,
     objective_and_gradient,
     reconstruction_loss,
     result_to_json,
     w_std_norm,
 )
-from latentprior.spaces import broadcast_style, w_to_v
+from latentprior.seeding import STREAM_INVERT_NOISE, rng_from
+from latentprior.spaces import SLOPE_W_TO_V, broadcast_style, lift_rows, lru_deriv, w_to_v
 
 
 @pytest.fixture(scope="module")
@@ -396,6 +404,175 @@ class TestInvert:
         with pytest.raises(ValueError, match="latent shape"):
             invert(image, bundle, fitted_model, cfg,
                    init_latent=np.zeros((2, bundle.dims.latent_dim)))
+
+
+def _lone_invert(target, bundle, model, cfg, init_latent=None):
+    """The batch-1 loop that invert ran before it became invert_batch at
+    n = 1, kept as the oracle of its bits. Returns (latent, loss trace,
+    prior trace, final image, final image error)."""
+    shape = latent_shape(cfg.target_space, bundle.dims)
+    start = np.broadcast_to(model.mean_w, shape) if init_latent is None else init_latent
+    rows = np.array(start, dtype=np.float64).reshape(-1, shape[-1])
+    s = bundle.dims.scales
+
+    def loss_fn(images):
+        return reconstruction_loss(images, target[None], cfg.loss_kind)
+
+    iterations = cfg.resolved_iterations
+    ramp = cfg.noise_ramp
+    noise_rng = rng_from(cfg.seed, STREAM_INVERT_NOISE)
+    sigma0 = ramp.initial_std_factor * w_std_norm(model)
+    state = AdamState.fresh(rows.shape)
+    losses, priors = [], []
+    for t in range(iterations):
+        std_t = sigma0 * max(0.0, 1.0 - t / (ramp.ramp_fraction * iterations)) ** 2
+        eval_rows = rows
+        if std_t > 0:
+            eval_rows = rows + std_t * noise_rng.standard_normal(rows.shape)
+        _, loss, g_stacks = synthesize_vjp_batch(bundle, lift_rows(eval_rows[None], s),
+                                                 loss_fn)
+        grad = g_stacks[0].reshape(rows.shape[0], -1, shape[-1]).sum(axis=1)
+        prior = 0.0
+        if cfg.prior_weight > 0:
+            vs = w_to_v(eval_rows)
+            prior = float(np.sum(mahalanobis_sq_batch(model, vs)))
+            g_prior = mahalanobis_sq_grad_batch(model, vs) \
+                * lru_deriv(eval_rows, SLOPE_W_TO_V)
+            grad = grad + cfg.prior_weight * g_prior
+        losses.append(loss[0])
+        priors.append(prior)
+        state, delta = adam_step(state, grad, cfg.resolved_learning_rate,
+                                 ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
+        rows = rows + delta
+    image = synthesize_batch(bundle, lift_rows(rows[None], s))
+    return (rows.reshape(shape), np.array(losses), np.array(priors), image[0],
+            loss_fn(image)[0][0])
+
+
+def _assert_bitwise(result, reference):
+    latent, losses, priors, image, error = reference
+    assert result.latent.tobytes() == latent.tobytes()
+    assert result.loss_trace.tobytes() == losses.tobytes()
+    assert result.prior_trace.tobytes() == priors.tobytes()
+    assert result.final_image.tobytes() == image.tobytes()
+    assert result.final_image_error == error
+
+
+@pytest.fixture(scope="module")
+def pool(bundle):
+    """Five target images of mapped styles, one style at every scale."""
+    styles = sample_styles(bundle, 41, 5)
+    return synthesize_batch(bundle, lift_rows(styles[:, None, :], bundle.dims.scales))
+
+
+class TestInvertBatch:
+    @pytest.mark.parametrize("space", [SPACE_W, SPACE_WPLUS])
+    @pytest.mark.parametrize("weight", [0.0, 1e-4])
+    @pytest.mark.parametrize("loss_kind", [LOSS_PIXEL, LOSS_PROXY])
+    def test_batch_of_one_is_the_lone_loop_bit_for_bit(self, bundle, fitted_model,
+                                                       pool, space, weight, loss_kind):
+        cfg = InversionConfig(target_space=space, prior_weight=weight,
+                              loss_kind=loss_kind, iterations=8, seed=17)
+        reference = _lone_invert(pool[0], bundle, fitted_model, cfg)
+        (batched,) = invert_batch(pool[:1], bundle, fitted_model, cfg, [17])
+        _assert_bitwise(batched, reference)
+        _assert_bitwise(invert(pool[0], bundle, fitted_model, cfg), reference)
+
+    @pytest.mark.parametrize("space", [SPACE_W, SPACE_WPLUS])
+    def test_batch_of_one_with_a_start_is_the_lone_loop(self, bundle, fitted_model,
+                                                        pool, space):
+        cfg = InversionConfig(target_space=space, prior_weight=1e-4, iterations=8,
+                              seed=5)
+        shape = latent_shape(space, bundle.dims)
+        start = fitted_model.mean_w + 0.1 * np.random.default_rng(9).standard_normal(shape)
+        reference = _lone_invert(pool[1], bundle, fitted_model, cfg, start)
+        (batched,) = invert_batch(pool[1:2], bundle, fitted_model, cfg, [5], [start])
+        _assert_bitwise(batched, reference)
+        _assert_bitwise(invert(pool[1], bundle, fitted_model, cfg, init_latent=start),
+                        reference)
+
+    @pytest.mark.parametrize("space", [SPACE_W, SPACE_WPLUS])
+    @pytest.mark.parametrize("loss_kind", [LOSS_PIXEL, LOSS_PROXY])
+    def test_batch_agrees_with_lone_inversions(self, bundle, fitted_model, pool,
+                                               space, loss_kind):
+        # BLAS rounds a batch of 5 differently from 5 batches of one, so
+        # the problems agree to rounding, not bit for bit
+        cfg = InversionConfig(target_space=space, prior_weight=1e-4,
+                              loss_kind=loss_kind, iterations=30)
+        seeds = [3, 1, 4, 1, 5]
+        batched = invert_batch(pool, bundle, fitted_model, cfg, seeds)
+        for target, seed, res in zip(pool, seeds, batched):
+            lone = invert(target, bundle, fitted_model,
+                          replace(cfg, seed=seed))
+            npt.assert_allclose(res.final_image_error, lone.final_image_error,
+                                rtol=1e-9)
+            npt.assert_allclose(res.latent, lone.latent, rtol=1e-9)
+            npt.assert_allclose(res.loss_trace, lone.loss_trace, rtol=1e-9)
+
+    def test_each_problem_keeps_its_own_noise_stream(self, bundle, fitted_model, pool):
+        # one target twice: the copies differ only by their seeds, and each
+        # follows the lone inversion with its seed
+        cfg = InversionConfig(target_space=SPACE_WPLUS, iterations=12)
+        twice = np.stack([pool[2], pool[2]])
+        a, b = invert_batch(twice, bundle, fitted_model, cfg, [7, 8])
+        swapped = invert_batch(twice, bundle, fitted_model, cfg, [8, 7])
+        assert np.max(np.abs(a.latent - b.latent)) > 1e-6
+        for res, seed in ((a, 7), (b, 8), (swapped[1], 7), (swapped[0], 8)):
+            lone = invert(pool[2], bundle, fitted_model, replace(cfg, seed=seed))
+            npt.assert_allclose(res.latent, lone.latent, rtol=1e-9)
+
+    @pytest.mark.parametrize("weight", [0.0, 1e-4])
+    def test_a_diverged_problem_leaves_the_others_bit_for_bit(self, bundle,
+                                                              fitted_model, pool,
+                                                              weight):
+        cfg = InversionConfig(target_space=SPACE_W, prior_weight=weight, iterations=10)
+        seeds = [11, 12, 13, 14]
+        benign = [fitted_model.mean_w + 0.01 * k for k in range(4)]
+        blown = list(benign)
+        blown[1] = np.full(bundle.dims.latent_dim, 1e200)
+        reference = invert_batch(pool[:4], bundle, fitted_model, cfg, seeds, benign)
+        results = invert_batch(pool[:4], bundle, fitted_model, cfg, seeds, blown)
+        failure = results[1]
+        assert isinstance(failure, NumericalFailure)
+        assert failure.iteration == 0
+        assert str(failure).startswith("inversion diverged at iteration 0 ")
+        for i in (0, 2, 3):
+            for name in ("latent", "loss_trace", "prior_trace", "final_image"):
+                assert getattr(results[i], name).tobytes() == \
+                    getattr(reference[i], name).tobytes()
+            assert results[i].final_image_error == reference[i].final_image_error
+
+    def test_every_problem_diverged_returns_every_failure(self, bundle, fitted_model,
+                                                          pool):
+        cfg = InversionConfig(target_space=SPACE_WPLUS, iterations=5)
+        start = np.full(latent_shape(SPACE_WPLUS, bundle.dims), 1e200)
+        results = invert_batch(pool[:2], bundle, fitted_model, cfg, [0, 1],
+                               [start, start])
+        assert [type(r) for r in results] == [NumericalFailure] * 2
+        assert [r.iteration for r in results] == [0, 0]
+
+    def test_lone_divergence_raises_its_one_line_message(self, bundle, fitted_model,
+                                                         pool):
+        cfg = InversionConfig(target_space=SPACE_W, iterations=5)
+        with pytest.raises(NumericalFailure) as exc:
+            invert(pool[0], bundle, fitted_model, cfg,
+                   init_latent=np.full(bundle.dims.latent_dim, 1e200))
+        assert str(exc.value) == \
+            "inversion diverged at iteration 0 (loss=nan, prior=inf)"
+        assert exc.value.iteration == 0
+
+    def test_arguments_checked(self, bundle, fitted_model, pool):
+        cfg = InversionConfig(target_space=SPACE_W, iterations=1)
+        with pytest.raises(ValueError, match="targets have shape"):
+            invert_batch(pool[:0], bundle, fitted_model, cfg, [])
+        with pytest.raises(ValueError, match="seeds"):
+            invert_batch(pool[:2], bundle, fitted_model, cfg, [0])
+        with pytest.raises(ValueError, match="initial latents"):
+            invert_batch(pool[:2], bundle, fitted_model, cfg, [0, 1],
+                         [fitted_model.mean_w])
+        with pytest.raises(ValueError, match="latent shape"):
+            invert_batch(pool[:2], bundle, fitted_model, cfg, [0, 1],
+                         [fitted_model.mean_w, fitted_model.mean_w[:3]])
 
 
 class TestResultJson:
