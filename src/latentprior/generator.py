@@ -29,7 +29,12 @@ serialized. All evaluation is batched over (n, s, d) style stacks:
 synthesize_batch runs the forward pass, and synthesize_vjp_batch runs that
 same pass once, evaluates a caller's row-wise loss on the images it made,
 and pulls the loss gradient back through the cached pass, so one
-optimization step costs one forward and one backward pass.
+optimization step costs one forward and one backward pass. The backward
+mirrors the forward's order: the adjoint of each 2x upsample is a 2x2
+sum-pool, so it pools the cotangent once per scale and does the mixer
+transpose, the style gradients and the scale product at the lower
+resolution. That sums in another order than pooling last, so its bits
+differ from the full-resolution backward's in the last places.
 """
 
 from __future__ import annotations
@@ -236,6 +241,15 @@ def _upsample(a: np.ndarray) -> np.ndarray:
     return out.reshape(n, 2 * h, 2 * w, c)
 
 
+def _act_deriv(z: np.ndarray) -> np.ndarray:
+    """Leaky-ReLU derivative: 1.0 where z >= 0, ACT_SLOPE elsewhere (NaN too).
+
+    The same bits as np.where(z >= 0, 1.0, ACT_SLOPE), at about a fifth of
+    its cost.
+    """
+    return (z >= 0) * (1.0 - ACT_SLOPE) + ACT_SLOPE
+
+
 def _forward(bundle: GeneratorBundle, stacks: np.ndarray, keep_cache: bool):
     """Shared forward pass. Returns (flat images, per-scale cache).
 
@@ -243,11 +257,13 @@ def _forward(bundle: GeneratorBundle, stacks: np.ndarray, keep_cache: bool):
     scale's output, before upsampling: both act on each pixel alone, so
     they commute with nearest-neighbour upsampling, bit for bit. The mixed
     features are then upsampled into a new buffer and the noise field is
-    added in place. The upsample-first order is kept as a test oracle.
+    added in place.
 
-    Cache entries are (upsampled pre-modulation features, per-sample channel
-    scales, full-resolution pre-activation values) as needed by the backward
-    pass. Without a cache the activation overwrites its input.
+    Cache entries are (pre-modulation features before the upsample,
+    per-sample channel scales, full-resolution pre-activation values), as
+    needed by the backward pass. Without a cache the activation overwrites
+    its input. The upsample-first order stays the test oracle: of the
+    forward bit for bit, and of the backward to rounding.
     """
     syn = bundle.synthesis
     dims = bundle.dims
@@ -265,7 +281,7 @@ def _forward(bundle: GeneratorBundle, stacks: np.ndarray, keep_cache: bool):
         z = _upsample(y) if k > 0 else y
         z += syn.noises[k]
         if keep_cache:
-            cache.append((_upsample(x) if k > 0 else x, scale, z))
+            cache.append((x, scale, z))
         # the same bits as np.where(z >= 0, z, ACT_SLOPE * z); a NaN stays NaN
         x = np.maximum(z, ACT_SLOPE * z, out=None if keep_cache else z)
     images = x @ syn.out_proj.T
@@ -301,7 +317,6 @@ def synthesize_vjp_batch(bundle: GeneratorBundle, stacks, loss_fn):
     syn = bundle.synthesis
     dims = bundle.dims
     n = arr.shape[0]
-    c = dims.channels
 
     images, cache = _forward(bundle, arr, keep_cache=True)
     losses, cotangents = loss_fn(images)
@@ -314,15 +329,18 @@ def synthesize_vjp_batch(bundle: GeneratorBundle, stacks, loss_fn):
     g = cot.reshape(n, hw, hw, 3) @ syn.out_proj
     g_stacks = np.zeros_like(arr)
     for k in reversed(range(dims.scales)):
-        u, scale, z = cache[k]
-        gm = (g * np.where(z >= 0, 1.0, ACT_SLOPE)) @ syn.mixers[k]
-        g_scale = np.einsum("nhwc,nhwc->nc", gm, u)
+        x, scale, z = cache[k]
+        gz = g * _act_deriv(z)
+        if k > 0:
+            # adjoint of the 2x nearest upsample: a 2x2 sum-pool
+            gz = (gz[:, 0::2, 0::2] + gz[:, 1::2, 0::2]
+                  + gz[:, 0::2, 1::2] + gz[:, 1::2, 1::2])
+        gm = gz @ syn.mixers[k]
+        g_scale = np.einsum("nhwc,nhwc->nc", gm, x)
         g_bias = gm.sum(axis=(1, 2))
         g_stacks[:, k, :] = np.concatenate([g_scale, g_bias], axis=1) @ syn.style_affines[k]
         if k > 0:
-            gu = gm * scale[:, None, None, :]
-            half = u.shape[1] // 2
-            g = gu.reshape(n, half, 2, half, 2, c).sum(axis=(2, 4))
+            g = gm * scale[:, None, None, :]
     return images, losses, g_stacks
 
 

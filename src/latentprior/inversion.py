@@ -174,8 +174,10 @@ def reconstruction_loss(images, targets, loss_kind: str):
     return _row_loss(b, loss_kind)(a)
 
 
-@dataclass(frozen=True)
+@dataclass
 class AdamState:
+    """ADAM moments and step count; adam_step updates them in place."""
+
     m: np.ndarray
     v: np.ndarray
     t: int
@@ -187,17 +189,24 @@ class AdamState:
 
 def adam_step(state: AdamState, gradient, lr: float, beta1: float,
               beta2: float, eps: float):
-    """One bias-corrected ADAM update. Returns (new state, parameter delta)."""
+    """One bias-corrected ADAM update of state, in place.
+
+    Returns (state, parameter delta). The moments take the bits of
+    beta * moment + (1 - beta) * ..., without a new array per step.
+    """
     g = np.asarray(gradient, dtype=np.float64)
     if g.shape != state.m.shape:
         raise ValueError(f"gradient shape {g.shape} != state shape {state.m.shape}")
-    t = state.t + 1
-    m = beta1 * state.m + (1 - beta1) * g
-    v = beta2 * state.v + (1 - beta2) * g * g
+    state.t += 1
+    m, v, t = state.m, state.v, state.t
+    m *= beta1
+    m += (1 - beta1) * g
+    v *= beta2
+    v += (1 - beta2) * g * g
     m_hat = m / (1 - beta1 ** t)
     v_hat = v / (1 - beta2 ** t)
     delta = -lr * m_hat / (np.sqrt(v_hat) + eps)
-    return AdamState(m, v, t), delta
+    return state, delta
 
 
 def w_std_norm(model: GaussianModel) -> float:

@@ -328,29 +328,79 @@ def _same_bits(a, b):
         np.ascontiguousarray(b).tobytes()
 
 
+def _vjp_full_resolution(bundle, stacks, cots):
+    """Style gradients of <image_i, cot_i> by the backward pass in its first
+    order: from the upsample-first cache, the channel work runs on the
+    upsampled pixels and each scale ends with the sum-pool. The oracle of
+    synthesize_vjp_batch, which pools first, to rounding."""
+    syn, dims = bundle.synthesis, bundle.dims
+    n, c, hw = stacks.shape[0], dims.channels, dims.image_size
+    _, cache = _forward_upsample_first(bundle, stacks, True)
+    g = np.asarray(cots).reshape(n, hw, hw, 3) @ syn.out_proj
+    g_stacks = np.zeros_like(stacks)
+    for k in reversed(range(dims.scales)):
+        u, scale, z = cache[k]
+        gm = (g * np.where(z >= 0, 1.0, generator.ACT_SLOPE)) @ syn.mixers[k]
+        g_scale = np.einsum("nhwc,nhwc->nc", gm, u)
+        g_bias = gm.sum(axis=(1, 2))
+        g_stacks[:, k, :] = np.concatenate([g_scale, g_bias], axis=1) \
+            @ syn.style_affines[k]
+        if k > 0:
+            gu = gm * scale[:, None, None, :]
+            half = u.shape[1] // 2
+            g = gu.reshape(n, half, 2, half, 2, c).sum(axis=(2, 4))
+    return g_stacks
+
+
 class TestForwardOrder:
-    """Channel work before upsampling gives the upsample-first bits exactly."""
+    """Channel work before upsampling gives the upsample-first bits exactly;
+    the backward, which sum-pools before its channel work, agrees with the
+    full-resolution one to rounding."""
 
     DIMS = [GeneratorDims(), GeneratorDims(scales=3, channels=5, image_size=12),
             GeneratorDims(scales=1)]
+    IDS = ["default", "3x5x12", "one-scale"]
 
-    @pytest.mark.parametrize("dims", DIMS, ids=["default", "3x5x12", "one-scale"])
+    @pytest.mark.parametrize("dims", DIMS, ids=IDS)
     @pytest.mark.parametrize("n", [1, 7, 64])
-    def test_bitwise_equal_to_upsample_first(self, dims, n, monkeypatch):
+    def test_bitwise_equal_to_upsample_first(self, dims, n):
         bundle = generator.init_generator(5, dims)
-        rng = np.random.default_rng(n)
-        stacks = rng.standard_normal((n, dims.scales, dims.latent_dim))
-        cots = rng.standard_normal((n, dims.pixels))
+        stacks = np.random.default_rng(n).standard_normal(
+            (n, dims.scales, dims.latent_dim))
         want, want_cache = _forward_upsample_first(bundle, stacks, True)
         for keep_cache in (False, True):
             images, cache = generator._forward(bundle, stacks, keep_cache)
             assert _same_bits(images, want)
         assert len(cache) == len(want_cache) == dims.scales
-        for entry, want_entry in zip(cache, want_cache):
-            assert all(_same_bits(a, b) for a, b in zip(entry, want_entry))
-        grads = _vjp(bundle, stacks, cots)
-        monkeypatch.setattr(generator, "_forward", _forward_upsample_first)
-        assert _same_bits(grads, _vjp(bundle, stacks, cots))
+        for k, ((x, scale, z), (u, want_scale, want_z)) in enumerate(
+                zip(cache, want_cache)):
+            # the cache keeps each scale's input before its upsample
+            assert _same_bits(generator._upsample(x) if k > 0 else x, u)
+            assert _same_bits(scale, want_scale) and _same_bits(z, want_z)
+
+    # a one-pixel base map (image_size=8) joins the backward comparison
+    @pytest.mark.parametrize("dims", DIMS + [GeneratorDims(image_size=8)],
+                             ids=IDS + ["one-pixel-base"])
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_vjp_agrees_with_the_full_resolution_backward(self, dims, n):
+        bundle = generator.init_generator(5, dims)
+        rng = np.random.default_rng(n)
+        stacks = rng.standard_normal((n, dims.scales, dims.latent_dim))
+        cots = rng.standard_normal((n, dims.pixels))
+        want = _vjp_full_resolution(bundle, stacks, cots)
+        # an entry that is small by cancellation carries the rounding of the
+        # terms it sums, hence the atol on the scale of the largest entry;
+        # the worst case seen is 8.2e-16 of it
+        np.testing.assert_allclose(_vjp(bundle, stacks, cots), want, rtol=1e-12,
+                                   atol=1e-14 * np.abs(want).max())
+
+    def test_backward_mask_is_the_where_mask_bit_for_bit(self):
+        z = np.random.default_rng(0).standard_normal(100_000)
+        z[::7] = 0.0
+        z[3::7] = -0.0
+        z[5::11] = np.nan
+        want = np.where(z >= 0, 1.0, generator.ACT_SLOPE)
+        assert _same_bits(generator._act_deriv(z), want)
 
     def test_one_pixel_base_agrees_to_rounding(self):
         # mixing a 1x1 map is a vector-matrix product, which numpy hands to

@@ -80,6 +80,19 @@ class TestAdamStep:
             step = -lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
             npt.assert_allclose(deltas[t - 1], step, rtol=1e-13)
 
+    def test_moments_update_in_place_with_the_bits_of_the_formula(self, rng):
+        b1, b2 = 0.9, 0.999
+        state = AdamState.fresh((5, 3))
+        m_buf, v_buf = state.m, state.v
+        m, v = np.zeros((5, 3)), np.zeros((5, 3))
+        for g in rng.standard_normal((6, 5, 3)):
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            state, _ = adam_step(state, g, 0.05, b1, b2, 1e-8)
+        assert state.m is m_buf and state.v is v_buf and state.t == 6
+        assert state.m.tobytes() == m.tobytes()
+        assert state.v.tobytes() == v.tobytes()
+
     def test_gradient_shape_mismatch(self):
         state = AdamState.fresh((2, 3))
         with pytest.raises(ValueError, match="shape"):
