@@ -506,6 +506,7 @@ class OperatingPoint:
     identity_compression: float
     pixel_std_truncation: float
     pixel_std_compression: float
+    bisect_trace: tuple        # (tau, fid_compression) per step, in visit order
 
 
 @dataclass(frozen=True)
@@ -531,10 +532,11 @@ def fid_tradeoff(bundle: GeneratorBundle, model: GaussianModel,
     For each psi, the truncated batch's feature distance to a disjoint
     reference batch is the matching target; tau is bisected (the distance
     is decreasing in tau) until the compressed batch matches within
-    match_tol. Identity similarity is measured per sample against the
-    uncorrected image; diversity is the mean per-pixel std of the batch.
-    ``threads`` workers run the operating points; results are identical
-    for any value.
+    match_tol. Each point keeps the (tau, distance) of every bisection step
+    in visit order; the last tau is the point's. Identity similarity is
+    measured per sample against the uncorrected image; diversity is the
+    mean per-pixel std of the batch. ``threads`` workers run the operating
+    points; results are identical for any value.
     """
     if model.dim != bundle.dims.latent_dim:
         raise ValueError(
@@ -565,10 +567,12 @@ def fid_tradeoff(bundle: GeneratorBundle, model: GaussianModel,
         comp_imgs = images
         fid_c = np.inf
         matched = False
+        trace = []
         for _ in range(config.max_bisect):
             tau = 0.5 * (lo + hi)
             comp_imgs = _style_images(bundle, compress_rows(model, ws, tau))
             fid_c = fid_of(comp_imgs)
+            trace.append((float(tau), float(fid_c)))
             if abs(fid_c - fid_t) <= config.match_tol * fid_t:
                 matched = True
                 break
@@ -589,6 +593,7 @@ def fid_tradeoff(bundle: GeneratorBundle, model: GaussianModel,
                 id_feats_raw, embed(id_net, comp_imgs[:n_id])),
             pixel_std_truncation=_pixel_std(trunc_imgs),
             pixel_std_compression=_pixel_std(comp_imgs),
+            bisect_trace=tuple(trace),
         )
 
     points = tuple(_pmap(point, config.psis, threads))

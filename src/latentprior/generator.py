@@ -23,6 +23,16 @@ Two stages, mirroring the usual style-based pipeline at desk scale:
   is the same as in the upsample-first order, except where the base map is
   a single pixel: its scale-1 mixing is then a vector-matrix product,
   which numpy hands to another BLAS kernel that rounds differently.
+  The mixing and the output projection run as one flat GEMM over every
+  pixel, which keeps the bits of the per-image products, except on
+  one-pixel maps and sums over more than FLAT_GEMM_MAX_CHANNELS channels;
+  those stay per-image products. Each scale's style affine is one product
+  over the whole batch, because on OpenBLAS its bits differ between 64
+  rows or fewer and larger batches. synthesize_batch then runs the
+  per-pixel work over row blocks whose full-resolution map is about
+  SYNTH_BLOCK_BYTES (64 rows at default dims), so each block's maps stay
+  in a core's L2 cache and memory beyond the output stays a few blocks at
+  any n. The block size never changes a bit.
 
 Everything is regenerated bit-exactly from (seed, dims); weights are never
 serialized. All evaluation is batched over (n, s, d) style stacks:
@@ -63,6 +73,14 @@ OUT_GAIN = 0.5
 # short: on OpenBLAS, 37 rows or fewer round differently from the same rows
 # inside a larger product, while blocks this size give the whole batch's bits.
 MAP_BLOCK_ROWS = 4096
+# Bytes of one full-resolution feature map in a block of synthesize_batch
+# (64 rows at default dims), so that a block's maps stay in a 2 MiB L2.
+# Any block size gives the same bits.
+SYNTH_BLOCK_BYTES = 1 << 20
+# Widest channel sum the synthesis runs as one flat GEMM over all pixels.
+# On OpenBLAS a flat GEMM summing 32 or more terms rounds differently from
+# the per-image products, and differently at different row counts.
+FLAT_GEMM_MAX_CHANNELS = 31
 # Largest value of each GeneratorDims field. (seed, dims) is all a bundle
 # file holds, so these bound what one can make init_generator allocate:
 # under 0.5 GB of weights, most of it 8 mapping layers of 2048 x 2048.
@@ -250,14 +268,72 @@ def _act_deriv(z: np.ndarray) -> np.ndarray:
     return (z >= 0) * (1.0 - ACT_SLOPE) + ACT_SLOPE
 
 
+def _block_rows(dims: GeneratorDims) -> int:
+    """Rows of one block of the uncached forward: SYNTH_BLOCK_BYTES of one
+    full-resolution feature map, and at least one row."""
+    return max(1, SYNTH_BLOCK_BYTES // (8 * dims.image_size ** 2 * dims.channels))
+
+
+def _per_pixel(a: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
+    """The channel product a @ w of every pixel of (n, h, w, c) maps.
+
+    One flat (n·h·w, c) GEMM, which has the bits of the stacked product
+    and runs as one BLAS call instead of n·h small ones. Two cases stay
+    stacked, because a flat GEMM does not reproduce their bits: a
+    one-pixel map, which numpy sends to the vector-matrix kernel, and a
+    sum over more than FLAT_GEMM_MAX_CHANNELS channels.
+    """
+    shape = a.shape[:3] + w.shape[1:]
+    if out is not None:
+        out = out.reshape(shape)  # a view: out is a contiguous row block
+    if shape[1] * shape[2] == 1 or a.shape[3] > FLAT_GEMM_MAX_CHANNELS:
+        return np.matmul(a, w, out=out)
+    flat = np.matmul(a.reshape(-1, a.shape[3]), w,
+                     out=None if out is None else out.reshape(-1, shape[3]))
+    return flat.reshape(shape)
+
+
+def _synthesis_rows(syn: SynthesisNetwork, mods: list, keep_cache: bool,
+                    out: np.ndarray) -> list:
+    """The synthesis pass of the rows whose style affine outputs mods holds.
+    Writes their flat images into out and returns the per-scale cache (see
+    _forward)."""
+    n, c = mods[0].shape[0], syn.base.shape[-1]
+    x = np.broadcast_to(syn.base, (n,) + syn.base.shape)
+    cache = []
+    for k, mod in enumerate(mods):
+        scale = 1.0 + mod[:, :c]
+        m = x * scale[:, None, None, :]
+        m += mod[:, None, None, c:]
+        y = _per_pixel(m, syn.mixers[k].T)
+        z = _upsample(y) if k > 0 else y
+        z += syn.noises[k]
+        if keep_cache:
+            cache.append((x, scale, z))
+        # the same bits as np.where(z >= 0, z, ACT_SLOPE * z); a NaN stays NaN
+        x = np.maximum(z, ACT_SLOPE * z, out=None if keep_cache else z)
+    _per_pixel(x, syn.out_proj.T, out)
+    return cache
+
+
 def _forward(bundle: GeneratorBundle, stacks: np.ndarray, keep_cache: bool):
-    """Shared forward pass. Returns (flat images, per-scale cache).
+    """Shared forward pass. Returns ((n, pixels) images, per-scale cache).
 
     At each scale the modulation and the channel mixing run on the previous
     scale's output, before upsampling: both act on each pixel alone, so
     they commute with nearest-neighbour upsampling, bit for bit. The mixed
     features are then upsampled into a new buffer and the noise field is
-    added in place.
+    added in place. The mixing and the output projection are flat GEMMs
+    over every pixel of the rows at hand (_per_pixel).
+
+    Each scale's style affine is one product over the whole batch. Without
+    a cache, the rest runs over blocks of _block_rows rows, each
+    writing its rows of the one output: a block's maps stay in cache, where
+    whole-batch maps stream through memory at every step and the batch's
+    memory grows by a full-resolution map per live temporary. Every product
+    inside a block keeps its bits at any row count, so the images are the
+    same as from one pass over the whole batch, which is what the cached
+    pass runs.
 
     Cache entries are (pre-modulation features before the upsample,
     per-sample channel scales, full-resolution pre-activation values), as
@@ -266,30 +342,27 @@ def _forward(bundle: GeneratorBundle, stacks: np.ndarray, keep_cache: bool):
     forward bit for bit, and of the backward to rounding.
     """
     syn = bundle.synthesis
-    dims = bundle.dims
     n = stacks.shape[0]
-    c = dims.channels
-
-    x = np.broadcast_to(syn.base, (n,) + syn.base.shape)
-    cache = []
-    for k in range(dims.scales):
-        mod = stacks[:, k, :] @ syn.style_affines[k].T
-        scale = 1.0 + mod[:, :c]
-        m = x * scale[:, None, None, :]
-        m += mod[:, None, None, c:]
-        y = m @ syn.mixers[k].T
-        z = _upsample(y) if k > 0 else y
-        z += syn.noises[k]
-        if keep_cache:
-            cache.append((x, scale, z))
-        # the same bits as np.where(z >= 0, z, ACT_SLOPE * z); a NaN stays NaN
-        x = np.maximum(z, ACT_SLOPE * z, out=None if keep_cache else z)
-    images = x @ syn.out_proj.T
-    return images.reshape(n, -1), cache
+    # (n, 2c) per scale: channel scales minus one, then channel biases. One
+    # product over the whole batch, never per block: on OpenBLAS it rounds
+    # differently at 64 rows or fewer than in a larger batch.
+    mods = [stacks[:, k, :] @ a.T for k, a in enumerate(syn.style_affines)]
+    images = np.empty((n, bundle.dims.pixels))
+    if keep_cache:
+        return images, _synthesis_rows(syn, mods, True, images)
+    step = _block_rows(bundle.dims)
+    for i in range(0, n, step):
+        _synthesis_rows(syn, [m[i:i + step] for m in mods], False,
+                        images[i:i + step])
+    return images, []
 
 
 def synthesize_batch(bundle: GeneratorBundle, stacks) -> np.ndarray:
-    """Generate flat images for (n, s, d) style stacks. Returns (n, pixels)."""
+    """Generate flat images for (n, s, d) style stacks. Returns (n, pixels).
+
+    Runs _forward without a cache, in row blocks; the block size never
+    changes a bit of the result.
+    """
     arr = _check_stacks(bundle, stacks)
     images, _ = _forward(bundle, arr, keep_cache=False)
     return images

@@ -483,3 +483,15 @@ class TestTradeoff:
         assert doc["config"]["n_samples"] == 96
         assert len(doc["points"]) == 1
         assert doc["points"][0]["psi"] == 0.7
+
+    def test_bisect_trace_ends_at_the_point(self, small_report):
+        p = small_report.points[0]
+        assert 1 <= len(p.bisect_trace) <= 30  # the fixture's max_bisect
+        assert p.bisect_trace[-1] == (p.tau, p.fid_compression)
+        # every step is the midpoint of the bracket the earlier steps left
+        lo, hi = 0.02, 8.0
+        for tau, fid in p.bisect_trace:
+            assert tau == 0.5 * (lo + hi)
+            lo, hi = (tau, hi) if fid > p.fid_truncation else (lo, tau)
+        doc = json.loads(tradeoff_to_json(small_report))
+        assert doc["points"][0]["bisect_trace"] == [list(s) for s in p.bisect_trace]

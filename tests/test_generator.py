@@ -7,7 +7,8 @@ import pytest
 
 from latentprior import generator
 from latentprior.errors import InputFormatError
-from latentprior.generator import DIM_LIMITS, MAP_BLOCK_ROWS, GeneratorDims
+from latentprior.generator import (DIM_LIMITS, MAP_BLOCK_ROWS, SYNTH_BLOCK_BYTES,
+                                   GeneratorDims)
 
 
 class TestDims:
@@ -323,6 +324,24 @@ def _forward_upsample_first(bundle, stacks, keep_cache):
     return (x @ syn.out_proj.T).reshape(n, -1), cache
 
 
+def _forward_stacked(bundle, stacks):
+    """The synthesis forward as one pass over the whole batch, each channel
+    product a stacked (n, h, w, c) @ (c, c') matmul: the oracle of the flat
+    GEMMs, bit for bit."""
+    syn, dims = bundle.synthesis, bundle.dims
+    n, c = stacks.shape[0], dims.channels
+    x = np.broadcast_to(syn.base, (n,) + syn.base.shape)
+    for k in range(dims.scales):
+        mod = stacks[:, k, :] @ syn.style_affines[k].T
+        m = x * (1.0 + mod[:, None, None, :c]) + mod[:, None, None, c:]
+        z = m @ syn.mixers[k].T
+        if k > 0:
+            z = z.repeat(2, axis=1).repeat(2, axis=2)
+        z = z + syn.noises[k]
+        x = np.where(z >= 0, z, generator.ACT_SLOPE * z)
+    return (x @ syn.out_proj.T).reshape(n, -1)
+
+
 def _same_bits(a, b):
     return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == \
         np.ascontiguousarray(b).tobytes()
@@ -412,6 +431,51 @@ class TestForwardOrder:
         want, _ = _forward_upsample_first(bundle, stacks, False)
         np.testing.assert_allclose(generator.synthesize_batch(bundle, stacks),
                                    want, rtol=1e-12, atol=1e-13)
+
+    # the flat-GEMM exceptions: one-pixel maps, and more channels than
+    # FLAT_GEMM_MAX_CHANNELS
+    EDGE_DIMS = DIMS + [GeneratorDims(image_size=8),
+                        GeneratorDims(scales=1, image_size=1, channels=2),
+                        GeneratorDims(scales=2, channels=32, image_size=8)]
+    EDGE_IDS = IDS + ["one-pixel-base", "one-pixel-image", "wide"]
+
+    @pytest.mark.parametrize("dims", EDGE_DIMS, ids=EDGE_IDS)
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_flat_products_keep_the_stacked_bits(self, dims, n):
+        bundle = generator.init_generator(5, dims)
+        stacks = np.random.default_rng(n).standard_normal(
+            (n, dims.scales, dims.latent_dim))
+        want = _forward_stacked(bundle, stacks)
+        assert _same_bits(generator.synthesize_batch(bundle, stacks), want)
+        assert _same_bits(generator._forward(bundle, stacks, True)[0], want)
+
+    @pytest.mark.parametrize("dims", EDGE_DIMS, ids=EDGE_IDS)
+    def test_blocks_keep_the_whole_batch_bits(self, dims):
+        bundle = generator.init_generator(5, dims)
+        rows = max(1, SYNTH_BLOCK_BYTES // (8 * dims.image_size ** 2 * dims.channels))
+        assert generator._block_rows(dims) == rows
+        rng = np.random.default_rng(0)
+        for n in sorted({1, rows - 1, rows, rows + 1, 2 * rows + 3} - {0}):
+            stacks = rng.standard_normal((n, dims.scales, dims.latent_dim))
+            want, _ = generator._forward(bundle, stacks, True)
+            assert _same_bits(generator.synthesize_batch(bundle, stacks), want), n
+
+    def test_peak_allocation_stays_under_one_whole_batch_map(self, bundle):
+        dims = bundle.dims
+        n = 16 * generator._block_rows(dims)
+        stacks = np.random.default_rng(8).standard_normal(
+            (n, dims.scales, dims.latent_dim))
+        tracemalloc.start()
+        try:
+            generator.synthesize_batch(bundle, stacks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output and a few block-sized maps, where the whole batch at
+        # once held two full-resolution maps beside the output
+        output = n * dims.pixels * 8
+        one_map = n * dims.image_size ** 2 * dims.channels * 8
+        assert peak < output + one_map
 
     def test_nan_propagates_as_before(self, bundle):
         stacks = np.zeros((2, bundle.dims.scales, bundle.dims.latent_dim))
