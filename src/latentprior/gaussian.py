@@ -9,6 +9,10 @@ its inverse L^{-1} (for energies), and the empirical W-space mean
 
 Energies and their gradients whiten by L^{-1}, computed once per model;
 the covariance itself is never inverted.
+
+A Gaussian is its sufficient statistics: moments() gives the (mean, cov)
+pair that fit_gaussian fits from, and frechet_distance compares two such
+pairs, so a Frechet feature distance needs no model.
 """
 
 from __future__ import annotations
@@ -77,38 +81,40 @@ def _as_sample_matrix(samples, name: str) -> np.ndarray:
     return arr
 
 
-def fit_gaussian(samples_v, samples_w) -> GaussianModel:
-    """Fit mean/covariance in V plus the empirical W mean.
-
-    Rows of ``samples_v`` and ``samples_w`` must correspond: row i of
-    ``samples_v`` is the V-map of row i of ``samples_w``. The covariance uses
-    the unbiased (n-1) denominator.
-    """
-    sv = _as_sample_matrix(samples_v, "samples_v")
-    sw = _as_sample_matrix(samples_w, "samples_w")
-    if sv.shape != sw.shape:
-        raise ValueError(
-            f"samples_v shape {sv.shape} != samples_w shape {sw.shape}"
-        )
-    n, d = sv.shape
+def moments(samples):
+    """(mean, cov) of (n, d) samples, n >= 2: the unbiased (n-1) covariance,
+    symmetrized."""
+    x = _as_sample_matrix(samples, "samples")
+    n = x.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 samples to fit, got {n}")
-
-    mean_v = sv.mean(axis=0)
-    mean_w = sw.mean(axis=0)
-    centered = sv - mean_v
+    mean = x.mean(axis=0)
+    centered = x - mean
     cov = centered.T @ centered / (n - 1)
-    cov = (cov + cov.T) / 2.0
+    return mean, (cov + cov.T) / 2.0
+
+
+def fit_gaussian(samples_v, samples_w) -> GaussianModel:
+    """Fit mean/covariance in V (by moments) plus the empirical W mean.
+
+    Rows of ``samples_v`` and ``samples_w`` must correspond: row i of
+    ``samples_v`` is the V-map of row i of ``samples_w``.
+    """
+    sw = _as_sample_matrix(samples_w, "samples_w")
+    if np.shape(samples_v) != sw.shape:
+        raise ValueError(
+            f"samples_v shape {np.shape(samples_v)} != samples_w shape {sw.shape}"
+        )
+    mean_v, cov = moments(samples_v)
+    n, d = sw.shape
 
     vals, vecs = np.linalg.eigh(cov)
     order = np.argsort(vals)[::-1]
     vals = np.clip(vals[order], 0.0, None)
     vecs = vecs[:, order]
     # Deterministic sign: largest-magnitude entry of each column positive.
-    for j in range(d):
-        k = int(np.argmax(np.abs(vecs[:, j])))
-        if vecs[k, j] < 0:
-            vecs[:, j] = -vecs[:, j]
+    top = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(d)]
+    vecs = vecs * np.where(top < 0, -1.0, 1.0)
 
     eps = max(EPS_SCALE * float(np.trace(cov)) / d, EPS_FLOOR)
     chol = np.linalg.cholesky(cov + eps * np.eye(d))
@@ -120,7 +126,7 @@ def fit_gaussian(samples_v, samples_w) -> GaussianModel:
         eigvecs=vecs,
         eigvals=vals,
         chol=chol,
-        mean_w=mean_w,
+        mean_w=sw.mean(axis=0),
         sample_count=n,
         epsilon=eps,
     )
@@ -178,26 +184,23 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.T
 
 
-def frechet_distance(m1: GaussianModel, m2: GaussianModel) -> float:
-    """Frechet (Wasserstein-2) distance between the two Gaussian fits.
+def frechet_distance(g1, g2) -> float:
+    """Frechet (Wasserstein-2) distance between two Gaussians given as
+    (mean, cov) pairs, e.g. from moments().
 
     ||mu1 - mu2||^2 + Tr(S1 + S2 - 2 (S1^{1/2} S2 S1^{1/2})^{1/2}).
     """
-    if m1.dim != m2.dim:
-        raise ValueError(f"dimension mismatch: {m1.dim} vs {m2.dim}")
+    (mu1, s1), (mu2, s2) = g1, g2
+    if len(mu1) != len(mu2):
+        raise ValueError(f"dimension mismatch: {len(mu1)} vs {len(mu2)}")
     # a metric is exactly zero on identical arguments; the trace formula
     # only gets there up to rounding, so short-circuit the exact case
-    if np.array_equal(m1.mean_v, m2.mean_v) and np.array_equal(m1.cov_v, m2.cov_v):
+    if np.array_equal(mu1, mu2) and np.array_equal(s1, s2):
         return 0.0
-    diff = m1.mean_v - m2.mean_v
-    s1_half = _psd_sqrt(m1.cov_v)
-    cross = _psd_sqrt(s1_half @ m2.cov_v @ s1_half)
-    val = float(
-        diff @ diff
-        + np.trace(m1.cov_v)
-        + np.trace(m2.cov_v)
-        - 2.0 * np.trace(cross)
-    )
+    diff = mu1 - mu2
+    s1_half = _psd_sqrt(s1)
+    cross = _psd_sqrt(s1_half @ s2 @ s1_half)
+    val = float(diff @ diff + np.trace(s1) + np.trace(s2) - 2.0 * np.trace(cross))
     return max(val, 0.0)
 
 

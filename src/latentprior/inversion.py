@@ -8,7 +8,9 @@ prior is the Gaussian energy in the corrected space V, summed over the
 rows. Optimization starts at the empirical W mean and, following the
 usual projector recipe, perturbs the latent with ramped-down Gaussian
 noise during the early iterations: the noise enters the forward
-evaluation only, the update is applied to the clean latent.
+evaluation only, the update is applied to the clean latent. The ramp's
+scale is the norm of the per-coordinate W std, exact from the model's
+moments (W is a leaky ReLU of the Gaussian V), with no draw.
 
 invert_batch solves n such problems in lockstep over (n, r, d) rows. The
 loss is built once for all n targets, and each iteration makes one
@@ -22,6 +24,7 @@ frozen, with its update masked to zero. invert is the case n = 1.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
@@ -29,19 +32,16 @@ import numpy as np
 
 from . import features
 from .errors import NumericalFailure
-from .gaussian import (
-    GaussianModel,
-    mahalanobis_sq_and_grad_batch,
-    sample_latents,
-)
+from .gaussian import GaussianModel, mahalanobis_sq_and_grad_batch
 # not called here: the benchmark's tracer (perfbench/spans.py) wraps them
 # under these names, and tests/test_benchmark_names.py pins them
-from .gaussian import mahalanobis_sq_batch, mahalanobis_sq_grad_batch  # noqa: F401
+from .gaussian import (mahalanobis_sq_batch, mahalanobis_sq_grad_batch,  # noqa: F401
+                       sample_latents)
 from .generator import (GeneratorBundle, GeneratorDims, synthesize_batch,
                         synthesize_vjp_batch)
-from .seeding import STREAM_INVERT_NOISE, STREAM_W_STD, rng_from
-from .spaces import (SLOPE_W_TO_V, lift_rows, lift_rows_adjoint, lru_deriv,
-                     v_to_w, w_to_v)
+from .seeding import STREAM_INVERT_NOISE, rng_from
+from .spaces import (SLOPE_V_TO_W, SLOPE_W_TO_V, lift_rows, lift_rows_adjoint,
+                     lru_deriv, w_to_v)
 
 SPACE_W = "w"
 SPACE_WPLUS = "wplus"
@@ -50,12 +50,6 @@ LOSS_PROXY = "random-feature-proxy"
 
 _DEFAULT_LR = {SPACE_W: 0.1, SPACE_WPLUS: 0.05}
 _DEFAULT_ITERATIONS = {SPACE_W: 1000, SPACE_WPLUS: 10000}
-
-# The per-coordinate std of W used to scale the noise ramp is estimated by
-# sampling the fitted model; the estimate is a property of the model alone,
-# so the seed and sample count are package constants.
-_W_STD_SEED = 7919
-_W_STD_SAMPLES = 4096
 
 # ADAM moment decays and denominator guard, the usual defaults.
 ADAM_BETA1 = 0.9
@@ -210,10 +204,24 @@ def adam_step(state: AdamState, gradient, lr: float, beta1: float,
 
 
 def w_std_norm(model: GaussianModel) -> float:
-    """Norm of the per-coordinate W std, estimated by sampling the model."""
-    rng = rng_from(_W_STD_SEED, STREAM_W_STD)
-    ws = v_to_w(sample_latents(model, rng, _W_STD_SAMPLES))
-    return float(np.linalg.norm(ws.std(axis=0, ddof=1)))
+    """Norm of the per-coordinate W std under the model, in closed form.
+
+    Coordinate j of V is N(m, s^2), with s^2 from the diagonal of
+    cov_v + eps I (= chol chol^T, what sample_latents draws from), and
+    W = lru(V, a). With u = m / s, P = Phi(-u) and phi = phi(u):
+    E[W] = m - (1 - a)(m P - s phi) and
+    E[W^2] = m^2 + s^2 - (1 - a^2)((m^2 + s^2) P - m s phi).
+    """
+    a = SLOPE_V_TO_W
+    m = model.mean_v
+    var = np.diag(model.cov_v) + model.epsilon
+    s = np.sqrt(var)
+    u = m / s
+    tail = np.array([0.5 * math.erfc(x / math.sqrt(2.0)) for x in u.tolist()])
+    dens = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+    mean_w = m - (1 - a) * (m * tail - s * dens)
+    second = m * m + var - (1 - a * a) * ((m * m + var) * tail - m * s * dens)
+    return float(np.linalg.norm(np.sqrt(second - mean_w * mean_w)))
 
 
 def _eval_objective(loss_fn, bundle, model, prior_weight: float, rows):

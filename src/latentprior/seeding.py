@@ -22,7 +22,7 @@ STREAM_TARGETS = 4
 STREAM_PAIRS = 5
 STREAM_FEATURES = 6
 STREAM_SAMPLES = 7
-STREAM_W_STD = 8
+# 8 is retired: it seeded a Monte Carlo estimate that is now closed-form.
 STREAM_TASKS = 9
 
 

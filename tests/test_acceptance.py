@@ -30,7 +30,8 @@ from latentprior.evaluation import (
     interpolation_experiment,
     lambda_sweep,
 )
-from latentprior.gaussian import fit_gaussian, frechet_distance, sample_latents
+from latentprior.errors import NumericalFailure
+from latentprior.gaussian import fit_gaussian, frechet_distance, moments, sample_latents
 from latentprior.generator import (
     init_generator,
     map_latents,
@@ -45,7 +46,7 @@ from latentprior.inversion import (
     SPACE_W,
     SPACE_WPLUS,
     InversionConfig,
-    invert,
+    invert_batch,
     objective_and_gradient,
 )
 from latentprior.seeding import STREAM_TASKS, child_seed, rng_from
@@ -172,15 +173,16 @@ def test_criterion_04_stack_energy_equals_kronecker_form():
 
 
 def _invert_pool(bundle, model, targets, truths, space, weight, iterations):
-    def task(i):
-        cfg = InversionConfig(
-            target_space=space, prior_weight=weight, iterations=iterations,
-            seed=child_seed(0, STREAM_TASKS, 0 if space == SPACE_W else 1, i),
-        )
-        res = invert(targets[i], bundle, model, cfg)
-        return float(np.linalg.norm((res.latent - truths[i]).ravel()))
-
-    return np.array([task(i) for i in range(len(targets))])
+    cfg = InversionConfig(target_space=space, prior_weight=weight,
+                          iterations=iterations)
+    seeds = [child_seed(0, STREAM_TASKS, 0 if space == SPACE_W else 1, i)
+             for i in range(len(targets))]
+    errs = []
+    for res, truth in zip(invert_batch(targets, bundle, model, cfg, seeds), truths):
+        if isinstance(res, NumericalFailure):
+            raise res
+        errs.append(float(np.linalg.norm((res.latent - truth).ravel())))
+    return np.array(errs)
 
 
 def test_criterion_05_prior_improves_latent_recovery(bundle, model):
@@ -303,20 +305,21 @@ def test_criterion_09_weight_sweep_trends(bundle, model):
 def test_criterion_10_frechet_distance_unit_suite():
     rng = np.random.default_rng(10)
     xs = rng.standard_normal((500, 6)) @ rng.standard_normal((6, 6))
-    m = fit_gaussian(xs, xs)
+    m = moments(xs)
     zero = frechet_distance(m, m)
 
     a = rng.normal(1.0, 2.0, (4000, 1))
     b = rng.normal(-0.5, 3.5, (4000, 1))
-    ma, mb = fit_gaussian(a, a), fit_gaussian(b, b)
+    ma, mb = moments(a), moments(b)
     got = frechet_distance(ma, mb)
-    mu_a, sd_a = float(ma.mean_v[0]), float(np.sqrt(ma.cov_v[0, 0]))
-    mu_b, sd_b = float(mb.mean_v[0]), float(np.sqrt(mb.cov_v[0, 0]))
+    (mean_a, cov_a), (mean_b, cov_b) = ma, mb
+    mu_a, sd_a = float(mean_a[0]), float(np.sqrt(cov_a[0, 0]))
+    mu_b, sd_b = float(mean_b[0]), float(np.sqrt(cov_b[0, 0]))
     want = (mu_a - mu_b) ** 2 + (sd_a - sd_b) ** 2
     one_d_dev = abs(got - want)
 
     ys = rng.standard_normal((500, 6)) * 2.0 + 1.0
-    m2 = fit_gaussian(ys, ys)
+    m2 = moments(ys)
     sym_dev = abs(frechet_distance(m, m2) - frechet_distance(m2, m))
     ok = zero == 0.0 and one_d_dev <= 1e-8 and sym_dev <= 1e-8
     _report(10, ok,

@@ -38,6 +38,10 @@ class TestFit:
         vals = small_model[0].eigvals
         assert np.all(np.diff(vals) <= 0) and np.all(vals >= 0)
 
+    def test_eigvec_sign_makes_the_largest_entry_positive(self, small_model):
+        for col in small_model[0].eigvecs.T:
+            assert col[np.argmax(np.abs(col))] > 0
+
     def test_sigma_max_is_sqrt_top_eigval(self, small_model):
         model, _ = small_model
         assert model.sigma_max == np.sqrt(model.eigvals[0])
@@ -152,28 +156,49 @@ class TestSampling:
             gaussian.sample_latents(small_model[0], 0, 0)
 
 
+class TestMoments:
+    def test_equal_to_the_fit_bit_for_bit(self, small_model):
+        # the tradeoff's distances read moments() where they read the fit
+        model, samples = small_model
+        again = gaussian.fit_gaussian(samples, samples)
+        mean, cov = gaussian.moments(samples)
+        assert np.array_equal(mean, again.mean_v) and np.array_equal(cov, again.cov_v)
+        assert np.array_equal(mean, model.mean_v) and np.array_equal(cov, model.cov_v)
+
+    def test_rejects_degenerate_input(self):
+        with pytest.raises(ValueError):
+            gaussian.moments(np.zeros((1, 3)))
+        with pytest.raises(ValueError):
+            gaussian.moments(np.zeros(4))
+        with pytest.raises(ValueError):
+            gaussian.moments(np.full((5, 3), np.inf))
+
+
+def _moments_of(model):
+    return model.mean_v, model.cov_v
+
+
 class TestFrechet:
     def test_identical_models_zero(self, small_model):
-        assert gaussian.frechet_distance(small_model[0], small_model[0]) == 0.0
+        g = _moments_of(small_model[0])
+        assert gaussian.frechet_distance(g, g) == 0.0
 
     def test_one_dimensional_closed_form(self):
         rng = np.random.default_rng(11)
         a = rng.normal(2.0, 1.5, (3000, 1))
         b = rng.normal(-1.0, 0.5, (3000, 1))
-        ma = gaussian.fit_gaussian(a, a)
-        mb = gaussian.fit_gaussian(b, b)
-        want = ((ma.mean_v[0] - mb.mean_v[0]) ** 2
-                + (np.sqrt(ma.cov_v[0, 0]) - np.sqrt(mb.cov_v[0, 0])) ** 2)
-        assert gaussian.frechet_distance(ma, mb) == pytest.approx(want,
-                                                                  abs=1e-10)
+        (mu_a, cov_a), (mu_b, cov_b) = gaussian.moments(a), gaussian.moments(b)
+        want = ((mu_a[0] - mu_b[0]) ** 2
+                + (np.sqrt(cov_a[0, 0]) - np.sqrt(cov_b[0, 0])) ** 2)
+        assert gaussian.frechet_distance((mu_a, cov_a), (mu_b, cov_b)) \
+            == pytest.approx(want, abs=1e-10)
 
     def test_symmetric(self, small_model):
-        model, _ = small_model
+        g = _moments_of(small_model[0])
         rng = np.random.default_rng(12)
-        other = gaussian.fit_gaussian(rng.standard_normal((300, model.dim)),
-                                      rng.standard_normal((300, model.dim)))
-        d1 = gaussian.frechet_distance(model, other)
-        d2 = gaussian.frechet_distance(other, model)
+        other = gaussian.moments(rng.standard_normal((300, len(g[0]))))
+        d1 = gaussian.frechet_distance(g, other)
+        d2 = gaussian.frechet_distance(other, g)
         assert d1 == pytest.approx(d2, abs=1e-8)
         assert d1 > 0
 
@@ -181,17 +206,16 @@ class TestFrechet:
         # Identical covariances: distance reduces to the squared mean gap.
         rng = np.random.default_rng(13)
         xs = rng.standard_normal((2000, 3))
-        ma = gaussian.fit_gaussian(xs, xs)
-        mb = gaussian.fit_gaussian(xs + np.array([1.0, 0.0, -2.0]), xs)
-        assert gaussian.frechet_distance(ma, mb) == pytest.approx(5.0,
+        ga = gaussian.moments(xs)
+        gb = gaussian.moments(xs + np.array([1.0, 0.0, -2.0]))
+        assert gaussian.frechet_distance(ga, gb) == pytest.approx(5.0,
                                                                   rel=1e-6)
 
     def test_dimension_mismatch(self, small_model):
         rng = np.random.default_rng(14)
-        other = gaussian.fit_gaussian(rng.standard_normal((100, 2)),
-                                      rng.standard_normal((100, 2)))
+        other = gaussian.moments(rng.standard_normal((100, 2)))
         with pytest.raises(ValueError):
-            gaussian.frechet_distance(small_model[0], other)
+            gaussian.frechet_distance(_moments_of(small_model[0]), other)
 
 
 class TestSerialization:

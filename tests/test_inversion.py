@@ -10,7 +10,7 @@ import pytest
 from latentprior import features, generator
 from latentprior.errors import NumericalFailure
 from latentprior.gaussian import (fit_gaussian, mahalanobis_sq_batch,
-                                  mahalanobis_sq_grad_batch)
+                                  mahalanobis_sq_grad_batch, sample_latents)
 from latentprior.generator import sample_styles, synthesize_batch, synthesize_vjp_batch
 from latentprior.inversion import (
     ADAM_BETA1,
@@ -33,7 +33,8 @@ from latentprior.inversion import (
     w_std_norm,
 )
 from latentprior.seeding import STREAM_INVERT_NOISE, rng_from
-from latentprior.spaces import SLOPE_W_TO_V, broadcast_style, lift_rows, lru_deriv, w_to_v
+from latentprior.spaces import (SLOPE_V_TO_W, SLOPE_W_TO_V, broadcast_style,
+                                lift_rows, lru_deriv, v_to_w, w_to_v)
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +207,27 @@ class TestWStdNorm:
         b = w_std_norm(fitted_model)
         assert a == b
         assert a > 0.0
+
+    def test_matches_a_monte_carlo_oracle(self, fitted_model):
+        # the squared norm is the total W variance; its estimate from n
+        # draws is the mean of each row's squared deviation, whose
+        # standard error is their std / sqrt(n)
+        n = 200_000
+        ws = v_to_w(sample_latents(fitted_model, 2024, n))
+        sq_dev = np.sum((ws - ws.mean(axis=0)) ** 2, axis=1)
+        total = sq_dev.sum() / (n - 1)
+        stderr = sq_dev.std(ddof=1) / np.sqrt(n)
+        assert abs(w_std_norm(fitted_model) ** 2 - total) <= 4.0 * stderr
+
+    def test_zero_mean_hand_case(self):
+        # m = 0: Var W = s^2 (1 + a^2) / 2 - s^2 (1 - a)^2 / (2 pi) per coordinate
+        s2 = np.array([0.25, 1.0, 4.0])
+        # a zero-mean fit, its covariance set so that cov_v + eps I = diag(s2)
+        model = fit_gaussian(np.zeros((2, 3)), np.zeros((2, 3)))
+        model = replace(model, cov_v=np.diag(s2) - model.epsilon * np.eye(3))
+        a = SLOPE_V_TO_W
+        var = s2 * (1 + a * a) / 2 - s2 * (1 - a) ** 2 / (2 * np.pi)
+        assert w_std_norm(model) == pytest.approx(np.sqrt(var.sum()), rel=1e-14)
 
 
 class TestObjective:
