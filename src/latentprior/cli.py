@@ -13,8 +13,8 @@ any subset of a command's settings, with explicit flags taking precedence.
 Flags, --config and a replayed manifest are checked by one resolver, and
 the runners get their input files already loaded and checked to fit.
 
-Exit codes: 0 success, 2 bad arguments, 3 input-format error,
-4 numerical failure.
+Exit codes: 0 success, 2 bad arguments (a setting too large for memory
+included), 3 input-format error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -643,6 +643,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # a size or count setting too large to hold
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

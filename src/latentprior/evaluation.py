@@ -133,6 +133,8 @@ class InterpolationConfig:
             raise ValueError("n_images must be >= 2")
         if self.n_pairs < 1:
             raise ValueError("n_pairs must be >= 1")
+        if self.learning_rate is not None and self.learning_rate < 0:
+            raise ValueError("learning_rate must be nonnegative")
         if self.loss_kind not in (LOSS_PIXEL, LOSS_PROXY):
             raise ValueError(f"unknown loss_kind {self.loss_kind!r}")
         grid = tuple(float(t) for t in self.t_grid)

@@ -1,10 +1,10 @@
 """Fixed random feature embeddings.
 
-A FeatureNet is a seeded two-layer leaky-ReLU network mapping flat images
-to a k-vector. Instances stand in for the pretrained embeddings the full
-pipeline would use: a perceptual loss proxy during inversion, the Frechet
-feature map, and the identity embedding. Each role gets its own fixed seed;
-weights are never trained.
+A FeatureNet is a seeded two-layer network mapping flat images to a
+k-vector, both activations spaces.lru with slope SLOPE. Instances stand in
+for the pretrained embeddings the full pipeline would use: a perceptual
+loss proxy during inversion, the Frechet feature map, and the identity
+embedding. Each role gets its own fixed seed; weights are never trained.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .seeding import STREAM_FEATURES, rng_from
+from .spaces import lru, lru_deriv
 
 SLOPE = 0.2
 # Fixed seed of the reconstruction-loss proxy network; part of the loss
@@ -59,8 +60,7 @@ def proxy_net(n_in: int) -> FeatureNet:
 def _preactivations(net: FeatureNet, images: np.ndarray):
     """Hidden and output pre-activations of an (n, n_in) batch."""
     h_pre = images @ net.w1.T + net.b1
-    h = np.where(h_pre >= 0, h_pre, SLOPE * h_pre)
-    return h_pre, h @ net.w2.T + net.b2
+    return h_pre, lru(h_pre, SLOPE) @ net.w2.T + net.b2
 
 
 def embed(net: FeatureNet, images) -> np.ndarray:
@@ -87,11 +87,11 @@ def embed_vjp(net: FeatureNet, images):
             raise ValueError(
                 f"expected cotangents of shape {f_pre.shape}, got {cot.shape}"
             )
-        g_fpre = cot * np.where(f_pre >= 0, 1.0, SLOPE)
-        g_hpre = (g_fpre @ net.w2) * np.where(h_pre >= 0, 1.0, SLOPE)
+        g_fpre = cot * lru_deriv(f_pre, SLOPE)
+        g_hpre = (g_fpre @ net.w2) * lru_deriv(h_pre, SLOPE)
         return g_hpre @ net.w1
 
-    return np.where(f_pre >= 0, f_pre, SLOPE * f_pre), pullback
+    return lru(f_pre, SLOPE), pullback
 
 
 def min_preactivation_gap(net: FeatureNet, image) -> float:

@@ -205,19 +205,24 @@ def frechet_distance(g1, g2) -> float:
 
 
 def validate_model(model: GaussianModel) -> None:
-    """Raise ValueError if the model violates its structural invariants."""
+    """Raise ValueError if the model violates its structural invariants.
+
+    Reconstruction tolerances are relative to the largest entry of
+    cov_v + eps I (absolute below 1), so fits of data at any scale pass; a
+    NaN fails every check.
+    """
     d = model.dim
     e, lam = model.eigvecs, model.eigvals
-    recon = (e * lam) @ e.T
-    if np.max(np.abs(recon - model.cov_v)) > 1e-8:
-        raise ValueError("eigendecomposition does not reconstruct cov_v")
-    if np.max(np.abs(e.T @ e - np.eye(d))) > 1e-10:
+    if not (np.all(np.diff(lam) <= 0) and np.all(lam >= 0)):
+        raise ValueError("eigvals must be nonnegative and non-increasing")
+    if not np.max(np.abs(e.T @ e - np.eye(d))) <= 1e-10:
         raise ValueError("eigenvectors are not orthonormal")
     target = model.cov_v + model.epsilon * np.eye(d)
-    if np.max(np.abs(model.chol @ model.chol.T - target)) > 1e-8:
+    tol = 1e-8 * max(1.0, float(np.max(np.abs(target))))
+    if not np.max(np.abs((e * lam) @ e.T - model.cov_v)) <= tol:
+        raise ValueError("eigendecomposition does not reconstruct cov_v")
+    if not np.max(np.abs(model.chol @ model.chol.T - target)) <= tol:
         raise ValueError("chol does not factor cov_v + eps I")
-    if np.any(np.diff(lam) > 0) or np.any(lam < 0):
-        raise ValueError("eigvals must be nonnegative and non-increasing")
 
 
 # --- serialization ---------------------------------------------------------
@@ -294,20 +299,24 @@ def model_from_json(text: str | bytes) -> GaussianModel:
         if not all(np.all(np.isfinite(a))
                    for a in (mean_v, mean_w, cov_v, eigvals, eigvecs, eps)):
             raise ValueError("non-finite values")
-        chol = np.linalg.cholesky(cov_v + eps * np.eye(d))
+        # values near the float limit overflow to inf or NaN, which fail
+        # validate_model's checks; no warning reaches stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            model = GaussianModel(
+                dim=d,
+                mean_v=mean_v,
+                cov_v=cov_v,
+                eigvecs=eigvecs,
+                eigvals=eigvals,
+                chol=np.linalg.cholesky(cov_v + eps * np.eye(d)),
+                mean_w=mean_w,
+                sample_count=sample_count,
+                epsilon=eps,
+            )
+            validate_model(model)
     except (ValueError, TypeError, OverflowError) as exc:
         raise InputFormatError(f"malformed model: {exc}") from exc
-    return GaussianModel(
-        dim=d,
-        mean_v=mean_v,
-        cov_v=cov_v,
-        eigvecs=eigvecs,
-        eigvals=eigvals,
-        chol=chol,
-        mean_w=mean_w,
-        sample_count=sample_count,
-        epsilon=eps,
-    )
+    return model
 
 
 def save_model(model: GaussianModel, path) -> None:

@@ -2,10 +2,11 @@
 
 Two stages, mirroring the usual style-based pipeline at desk scale:
 
-* mapping network M: a chain of affine layers with leaky-ReLU (slope 0.2)
-  activations, the final activation included, so that the corrected space V
-  (leaky ReLU with slope 5.0 applied to W) recovers the final pre-activation
-  exactly. map_latents runs it over near-equal row blocks of at least
+* mapping network M: a chain of affine layers with leaky-ReLU
+  activations, the final activation included. Every activation here and
+  in G is spaces.lru with slope SLOPE_V_TO_W, the inverse of the V map's
+  slope, so V (spaces.w_to_v of W) recovers the final pre-activation to
+  within 4 ulp. map_latents runs M over near-equal row blocks of at least
   MAP_BLOCK_ROWS rows (one block below twice that), so its memory does not
   grow with the batch beyond the (n, d) input and output. On OpenBLAS such
   blocks give the same bits as mapping the whole batch at once; batches of
@@ -56,10 +57,8 @@ import numpy as np
 
 from .errors import InputFormatError
 from .seeding import STREAM_WEIGHTS, STREAM_Z, rng_from
+from .spaces import SLOPE_V_TO_W, lru, lru_deriv
 
-# Slope of every activation in the generator. Must stay at 0.2 so the V map
-# (slope 5.0) undoes the mapping network's final nonlinearity.
-ACT_SLOPE = 0.2
 # Std of mapping-network bias draws; gives W a nonzero mean without
 # dominating the pre-activations.
 BIAS_STD = 0.1
@@ -237,8 +236,7 @@ def map_latents(bundle: GeneratorBundle, zs) -> np.ndarray:
         for w, b in zip(bundle.mapping.weights, bundle.mapping.biases):
             x = x @ w.T  # drops the previous layer's block
             x += b
-            # the same bits as np.where(x >= 0, x, ACT_SLOPE * x)
-            np.maximum(x, ACT_SLOPE * x, out=x)
+            lru(x, SLOPE_V_TO_W, out=x)
         dst[...] = x
     return out
 
@@ -257,15 +255,6 @@ def _upsample(a: np.ndarray) -> np.ndarray:
     out = np.empty((n, h, 2, w, 2, c))
     out[...] = a[:, :, None, :, None, :]
     return out.reshape(n, 2 * h, 2 * w, c)
-
-
-def _act_deriv(z: np.ndarray) -> np.ndarray:
-    """Leaky-ReLU derivative: 1.0 where z >= 0, ACT_SLOPE elsewhere (NaN too).
-
-    The same bits as np.where(z >= 0, 1.0, ACT_SLOPE), at about a fifth of
-    its cost.
-    """
-    return (z >= 0) * (1.0 - ACT_SLOPE) + ACT_SLOPE
 
 
 def _block_rows(dims: GeneratorDims) -> int:
@@ -310,8 +299,7 @@ def _synthesis_rows(syn: SynthesisNetwork, mods: list, keep_cache: bool,
         z += syn.noises[k]
         if keep_cache:
             cache.append((x, scale, z))
-        # the same bits as np.where(z >= 0, z, ACT_SLOPE * z); a NaN stays NaN
-        x = np.maximum(z, ACT_SLOPE * z, out=None if keep_cache else z)
+        x = lru(z, SLOPE_V_TO_W, out=None if keep_cache else z)
     _per_pixel(x, syn.out_proj.T, out)
     return cache
 
@@ -403,7 +391,7 @@ def synthesize_vjp_batch(bundle: GeneratorBundle, stacks, loss_fn):
     g_stacks = np.zeros_like(arr)
     for k in reversed(range(dims.scales)):
         x, scale, z = cache[k]
-        gz = g * _act_deriv(z)
+        gz = g * lru_deriv(z, SLOPE_V_TO_W)
         if k > 0:
             # adjoint of the 2x nearest upsample: a 2x2 sum-pool
             gz = (gz[:, 0::2, 0::2] + gz[:, 1::2, 0::2]
@@ -466,8 +454,8 @@ def load_bundle(path) -> GeneratorBundle:
 # --- image files ------------------------------------------------------------
 #
 # Exact pipelines use raw little-endian float64 (no header); PPM (P6, 8-bit)
-# is for eyeballing, with values mapped affinely from a [lo, hi] range that
-# defaults to the empirical range of the batch being written.
+# is for eyeballing, with values mapped affinely from the image's own
+# [min, max] range.
 
 
 def image_to_f64_bytes(image) -> bytes:
@@ -498,13 +486,9 @@ def read_image_f64(path, pixels: int | None = None) -> np.ndarray:
         return image_from_f64_bytes(fh.read(), pixels)
 
 
-def ppm_bytes(image, shape: tuple[int, int, int], lo: float | None = None,
-              hi: float | None = None) -> bytes:
+def ppm_bytes(image, shape: tuple[int, int, int]) -> bytes:
     img = np.asarray(image, dtype=np.float64).reshape(shape)
-    if lo is None:
-        lo = float(img.min())
-    if hi is None:
-        hi = float(img.max())
+    lo, hi = float(img.min()), float(img.max())
     if hi > lo:
         scaled = (img - lo) / (hi - lo) * 255.0
     else:
@@ -514,7 +498,6 @@ def ppm_bytes(image, shape: tuple[int, int, int], lo: float | None = None,
     return header + data.tobytes()
 
 
-def write_ppm(path, image, shape: tuple[int, int, int],
-              lo: float | None = None, hi: float | None = None) -> None:
+def write_ppm(path, image, shape: tuple[int, int, int]) -> None:
     with open(path, "wb") as fh:
-        fh.write(ppm_bytes(image, shape, lo, hi))
+        fh.write(ppm_bytes(image, shape))

