@@ -398,7 +398,7 @@ def _run_fid_tradeoff(config, inputs, out: Path, threads):
              "pixel_std_truncation,pixel_std_compression"]
     for p in report.points:
         lines.append(
-            f"{p.psi:g},{p.tau!r},{p.fid_truncation!r},{p.fid_compression!r},"
+            f"{p.psi!r},{p.tau!r},{p.fid_truncation!r},{p.fid_compression!r},"
             f"{int(p.matched)},{p.identity_truncation!r},"
             f"{p.identity_compression!r},{p.pixel_std_truncation!r},"
             f"{p.pixel_std_compression!r}"
@@ -562,7 +562,8 @@ _register(Command(
         _SEED,
         Flag("samples", "int", 10000,
              help="model samples to profile when no --latents file is given"),
-        Flag("k", "int", None, help="leading components to report (default 30)"),
+        Flag("k", "int", None,
+             help="leading components to report (default min(30, model dim))"),
         Flag("tau", "float", 0.5),
     ),
     required_inputs=("model",),

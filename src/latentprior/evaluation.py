@@ -124,11 +124,14 @@ class InterpolationConfig:
                 raise ValueError(f"unknown space {sp!r}")
         if not self.prior_weights:
             raise ValueError("prior weights must be nonempty")
-        if any(w < 0 for w in self.prior_weights):
+        # copysign refuses -0.0 too: it equals 0.0 but has its own label
+        if any(math.copysign(1.0, w) < 0 for w in self.prior_weights):
             raise ValueError("prior weights must be nonnegative")
-        distinct = set(self.prior_weights)
-        if len({condition_label("", w) for w in distinct}) != len(distinct):
-            raise ValueError("prior weights must differ in their condition labels")
+        labels = {condition_label(sp, w)
+                  for sp in self.spaces for w in self.prior_weights}
+        if len(labels) != len(self.spaces) * len(self.prior_weights):
+            raise ValueError("repeated spaces or prior weights, or weights alike "
+                             "under %g, would share condition labels")
         if self.n_images < 2:
             raise ValueError("n_images must be >= 2")
         if self.n_pairs < 1:
@@ -171,10 +174,16 @@ class ConditionRecord:
 
 @dataclass(frozen=True)
 class ExperimentReport:
+    """One ConditionRecord per condition, keyed by its label in run order;
+    the conditions are the keys, and every aggregate is read from them."""
+
     t_grid: tuple[float, ...]
-    conditions: tuple[str, ...]
     records: dict[str, ConditionRecord]
     config: dict
+
+    @property
+    def conditions(self) -> tuple[str, ...]:
+        return tuple(self.records)
 
     def record(self, condition: str) -> ConditionRecord:
         if condition not in self.records:
@@ -299,7 +308,6 @@ def interpolation_experiment(bundle: GeneratorBundle, model: GaussianModel,
         raise ValueError("target generator dims must match the inverted generator")
 
     records: dict[str, ConditionRecord] = {}
-    conditions: list[str] = []
     n_t = len(config.t_grid)
     d, s = bundle.dims.latent_dim, bundle.dims.scales
     for space_idx, space in enumerate(config.spaces):
@@ -330,9 +338,7 @@ def interpolation_experiment(bundle: GeneratorBundle, model: GaussianModel,
                 )
                 pair_errors[:, ti], _ = reconstruction_loss(
                     est_imgs, true_imgs[ti], config.loss_kind)
-            label = condition_label(space, weight)
-            conditions.append(label)
-            records[label] = ConditionRecord(
+            records[condition_label(space, weight)] = ConditionRecord(
                 space=space,
                 prior_weight=float(weight),
                 target_ok=ok,
@@ -344,7 +350,6 @@ def interpolation_experiment(bundle: GeneratorBundle, model: GaussianModel,
             )
     return ExperimentReport(
         t_grid=config.t_grid,
-        conditions=tuple(conditions),
         records=records,
         config=asdict(config),
     )
@@ -360,19 +365,14 @@ def lambda_sweep(bundle: GeneratorBundle, model: GaussianModel,
     report per weight, equal to that of a single-weight experiment (config
     included).
     """
-    grid = tuple(dict.fromkeys(float(lam) for lam in lambda_grid))
+    grid = tuple(float(lam) for lam in lambda_grid)
     full = interpolation_experiment(bundle, model,
                                     replace(config, prior_weights=grid))
-    reports = {}
-    for lam in grid:
-        conditions = tuple(condition_label(space, lam) for space in config.spaces)
-        reports[lam] = ExperimentReport(
-            t_grid=full.t_grid,
-            conditions=conditions,
-            records={c: full.records[c] for c in conditions},
-            config=asdict(replace(config, prior_weights=(lam,))),
-        )
-    return reports
+    return {lam: ExperimentReport(
+        t_grid=full.t_grid,
+        records={c: rec for c, rec in full.records.items() if rec.prior_weight == lam},
+        config=asdict(replace(config, prior_weights=(lam,))),
+    ) for lam in grid}
 
 
 # --- feature-space metrics --------------------------------------------------
@@ -566,9 +566,6 @@ def fid_tradeoff(bundle: GeneratorBundle, model: GaussianModel,
         trunc_imgs = _style_images(bundle, truncate_rows(model, ws, psi))
         fid_t = fid_of(trunc_imgs)
         lo, hi = config.tau_lo, config.tau_hi
-        tau = 0.5 * (lo + hi)
-        comp_imgs = images
-        fid_c = np.inf
         matched = False
         trace = []
         for _ in range(config.max_bisect):

@@ -279,12 +279,14 @@ def invert_batch(targets, bundle: GeneratorBundle, model: GaussianModel,
     and starts at ``init_latents[i]``, or at the empirical W mean on every
     row when ``init_latents`` is None. Every iteration evaluates the whole
     batch at once, but no problem reads another's numbers, so each result
-    agrees with a lone ``invert`` of its target to rounding. A problem
-    whose loss or prior turns non-finite is frozen: its update is masked
-    to zero from then on, and the others run on unchanged.
+    agrees with a lone ``invert`` of its target to rounding. ``diverged_at``
+    holds each problem's first iteration with a non-finite loss or prior
+    (-1 while it runs); from then on its update is masked to zero, and the
+    others run on unchanged.
 
-    Returns a list with, for each target, an InversionResult or the
-    NumericalFailure of its diverged problem.
+    Returns a list with, for each target, an InversionResult or a
+    NumericalFailure at its diverging iteration (``iterations`` when only
+    the final image's loss is non-finite).
     """
     targets = np.asarray(targets, dtype=np.float64)
     pixels = bundle.dims.pixels
@@ -318,9 +320,7 @@ def invert_batch(targets, bundle: GeneratorBundle, model: GaussianModel,
     state = AdamState.fresh(rows.shape)
     loss_trace = np.zeros((iterations, n))  # row t: every problem's iteration t
     prior_trace = np.zeros((iterations, n))
-    failures = [None] * n
-    alive = np.ones(n, dtype=bool)
-    frozen = None  # once a problem fails: the (n, 1, 1) mask of the live ones
+    diverged_at = np.full(n, -1)  # first non-finite iteration; -1 while running
 
     for t in range(iterations):
         decay = max(0.0, 1.0 - t / (ramp.ramp_fraction * iterations)) ** 2
@@ -336,41 +336,37 @@ def invert_batch(targets, bundle: GeneratorBundle, model: GaussianModel,
         loss_trace[t] = losses
         prior_trace[t] = priors
         finite = np.isfinite(losses) & np.isfinite(priors)
-        if not finite.all():
-            for i in np.flatnonzero(alive & ~finite):
-                failures[i] = NumericalFailure(
-                    f"inversion diverged at iteration {t} "
-                    f"(loss={float(losses[i])}, prior={float(priors[i])})",
-                    iteration=t,
-                )
-            alive &= finite
-            if not alive.any():
-                break
-            frozen = alive[:, None, None]
+        diverged_at[(diverged_at < 0) & ~finite] = t
+        alive = diverged_at < 0
+        if not alive.any():
+            break
         state, delta = adam_step(state, grad, lr, ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
-        rows = rows + (delta if frozen is None else np.where(frozen, delta, 0.0))
+        rows = rows + np.where(alive[:, None, None], delta, 0.0)
 
-    if alive.any():
-        final_images = synthesize_batch(bundle, lift_rows(rows, bundle.dims.scales))
-        final_errors, _ = loss_fn(final_images)
+    final_images = synthesize_batch(bundle, lift_rows(rows, bundle.dims.scales))
+    final_errors, _ = loss_fn(final_images)
     results = []
-    for i in range(n):
-        if failures[i] is None and not np.isfinite(final_errors[i]):
-            failures[i] = NumericalFailure(
+    for i, t in enumerate(diverged_at.tolist()):
+        if t >= 0:
+            results.append(NumericalFailure(
+                f"inversion diverged at iteration {t} (loss={float(loss_trace[t, i])}, "
+                f"prior={float(prior_trace[t, i])})",
+                iteration=t,
+            ))
+        elif not np.isfinite(final_errors[i]):
+            results.append(NumericalFailure(
                 f"inversion diverged in its last step (loss={float(final_errors[i])})",
                 iteration=iterations,
-            )
-        if failures[i] is not None:
-            results.append(failures[i])
-            continue
-        results.append(InversionResult(
-            latent=rows[i].reshape(shape),
-            loss_trace=loss_trace[:, i].copy(),
-            prior_trace=prior_trace[:, i].copy(),
-            final_image_error=float(final_errors[i]),
-            iterations_run=iterations,
-            final_image=final_images[i],
-        ))
+            ))
+        else:
+            results.append(InversionResult(
+                latent=rows[i].reshape(shape),
+                loss_trace=loss_trace[:, i].copy(),
+                prior_trace=prior_trace[:, i].copy(),
+                final_image_error=float(final_errors[i]),
+                iterations_run=iterations,
+                final_image=final_images[i],
+            ))
     return results
 
 

@@ -310,15 +310,19 @@ class TestExitCodes:
         assert err.startswith("input error: ") and err.count("\n") == 1
         assert "width 31" in err
 
-    @pytest.mark.parametrize("command, weights", [
-        (["experiment", "interpolation", "--spaces", "w"], "--lambdas"),
-        (["experiment", "lambda-sweep", "--spaces", "w"], "--grid"),
-    ], ids=["interpolation", "lambda-sweep"])
+    @pytest.mark.parametrize("command, labels", [
+        ("interpolation", ["--spaces", "w", "--lambdas", "1e-5,1.000001e-5"]),
+        ("lambda-sweep", ["--spaces", "w", "--grid", "1e-5,1.000001e-5"]),
+        ("interpolation", ["--spaces", "w", "--lambdas", "0,0"]),
+        ("lambda-sweep", ["--spaces", "w", "--grid", "0,0"]),
+        ("interpolation", ["--spaces", "w,w"]),
+    ], ids=["interpolation", "lambda-sweep", "repeated-lambda", "repeated-grid",
+            "repeated-space"])
     def test_weights_sharing_a_condition_label_are_usage(self, ws, tmp_path, capsys,
-                                                         command, weights):
+                                                         command, labels):
         capsys.readouterr()
-        rc = run(*command, "--bundle", ws["bundle"], "--model", ws["model"],
-                 weights, "1e-5,1.000001e-5", "--images", 2, "--pairs", 1,
+        rc = run("experiment", command, "--bundle", ws["bundle"],
+                 "--model", ws["model"], *labels, "--images", 2, "--pairs", 1,
                  "--iters", 2, "--out", tmp_path / "o")
         err = capsys.readouterr().err
         assert rc == 2
@@ -619,16 +623,17 @@ class TestExperimentCommands:
     def test_fid_tradeoff_parses_comma_lists(self, ws, tmp_path):
         out = tmp_path / "tradeoff"
         rc = run("experiment", "fid-tradeoff", "--bundle", ws["bundle"],
-                 "--model", ws["model"], "--psis", "0.9,0.7", "--samples", 48,
+                 "--model", ws["model"], "--psis", "0.9,0.7123456789", "--samples", 48,
                  "--identity-samples", 16, "--tau-lo", 0.02,
                  "--max-bisect", 4, "--out", out)
         assert rc == 0
         doc = manifest_of(out)
-        assert doc["config"]["psis"] == [0.9, 0.7]
+        assert doc["config"]["psis"] == [0.9, 0.7123456789]
         assert isinstance(doc["derived"]["all_matched"], bool)
         assert "fid_uncorrected" in doc["derived"]
         points = (out / "points.csv").read_text().strip().split("\n")
-        assert len(points) == 3
+        # psi parses back exactly, like every other CSV float
+        assert [float(row.split(",")[0]) for row in points[1:]] == [0.9, 0.7123456789]
 
     def test_pc_profile_defaults_k_into_the_manifest(self, ws, tmp_path):
         out = tmp_path / "profile"
@@ -844,5 +849,8 @@ def test_no_output_file_holds_a_non_finite_number(ws, tmp_path, run_name):
     assert run(*command, *argv, "--out", out) == 0
     paths = sorted(p for p in out.rglob("*") if p.is_file())
     assert len(paths) >= 3  # the manifest, timing.json and an output
+    # the manifest lists every file written, each once
+    assert sorted(str(p.relative_to(out)) for p in paths) == \
+        sorted([*manifest_of(out)["outputs"], MANIFEST_NAME, "timing.json"])
     for path in paths:
         assert np.all(np.isfinite(_numbers_in(path))), path.relative_to(out)

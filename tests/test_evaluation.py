@@ -282,10 +282,14 @@ class TestLambdaSweep:
         with pytest.raises(ValueError, match="nonnegative"):
             lambda_sweep(bundle, fitted_model, quiet_config(),
                          lambda_grid=(-1e-4,))
-        # distinct weights that print alike would share a condition label
-        with pytest.raises(ValueError, match="labels"):
-            lambda_sweep(bundle, fitted_model, quiet_config(),
-                         lambda_grid=(1e-5, 1.000001e-5))
+        # repeated weights, and distinct ones that print alike, would share
+        # a condition label
+        for grid in ((1e-5, 1.000001e-5), (0.0, 0.0)):
+            with pytest.raises(ValueError, match="labels"):
+                lambda_sweep(bundle, fitted_model, quiet_config(), lambda_grid=grid)
+        # -0.0 equals 0.0 but would be labelled apart
+        with pytest.raises(ValueError, match="nonnegative"):
+            lambda_sweep(bundle, fitted_model, quiet_config(), lambda_grid=(0.0, -0.0))
 
 
 @pytest.fixture(scope="module")

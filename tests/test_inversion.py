@@ -586,6 +586,22 @@ class TestInvertBatch:
         assert [type(r) for r in results] == [NumericalFailure] * 2
         assert [r.iteration for r in results] == [0, 0]
 
+    def test_a_last_step_divergence_fails_at_iteration_iterations(self, bundle,
+                                                                  fitted_model, pool):
+        # one enormous step leaves every latent finite but its image's loss nan
+        cfg = InversionConfig(target_space=SPACE_W, iterations=1, learning_rate=1e308)
+        last = (1, "inversion diverged in its last step (loss=nan)")
+        results = invert_batch(pool[:3], bundle, fitted_model, cfg, [0, 1, 2])
+        assert [type(r) for r in results] == [NumericalFailure] * 3
+        assert [(r.iteration, str(r)) for r in results] == [last] * 3
+        # beside a problem that diverges at its start
+        starts = [fitted_model.mean_w] * 3
+        starts[1] = np.full(bundle.dims.latent_dim, 1e200)
+        results = invert_batch(pool[:3], bundle, fitted_model, cfg, [0, 1, 2], starts)
+        assert [type(r) for r in results] == [NumericalFailure] * 3
+        assert [(r.iteration, str(r)) for r in results] == [
+            last, (0, "inversion diverged at iteration 0 (loss=nan, prior=inf)"), last]
+
     def test_lone_divergence_raises_its_one_line_message(self, bundle, fitted_model,
                                                          pool):
         cfg = InversionConfig(target_space=SPACE_W, iterations=5)
