@@ -231,9 +231,21 @@ def _execute(cmd: Command, config: dict, inputs: dict, out: Path,
              threads: int) -> None:
     if threads < 1:
         raise UsageError(f"--threads must be >= 1, got {threads}")
-    out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    outputs, derived = cmd.runner(config, _load(inputs), out, threads)
+    loaded = _load(inputs)
+    made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        outputs, derived = cmd.runner(config, loaded, out, threads)
+    except BaseException:
+        # a failed run leaves no directory it made, unless something was
+        # written into it; rmdir removes only empty directories
+        for d in made:
+            try:
+                d.rmdir()
+            except OSError:
+                break
+        raise
     duration = time.perf_counter() - start
     manifest = {
         "command": cmd.name,

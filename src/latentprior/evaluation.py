@@ -537,10 +537,16 @@ def fid_tradeoff(bundle: GeneratorBundle, model: GaussianModel,
     reference batch is the matching target; tau is bisected (the distance
     is decreasing in tau) until the compressed batch matches within
     match_tol. Each point keeps the (tau, distance) of every bisection step
-    in visit order; the last tau is the point's. Identity similarity is
-    measured per sample against the uncorrected image; diversity is the
-    mean per-pixel std of the batch. ``threads`` workers run the operating
-    points; results are identical for any value.
+    in visit order; the last tau is the point's. Every point bisects from
+    the same bracket, so the points share one tau -> distance memo: a step
+    whose tau an earlier step visited reuses its distance and synthesizes
+    nothing, and a point whose last step was such a hit synthesizes its
+    tau's images once more for identity and diversity. The memo holds
+    floats only. Identity similarity is measured per sample against the
+    uncorrected image; diversity is the mean per-pixel std of the batch.
+    ``threads`` workers run the operating points; two of them may compute
+    the same tau at once, but the distance is a pure function of tau, so
+    results are identical for any value.
     """
     if model.dim != bundle.dims.latent_dim:
         raise ValueError(
@@ -562,6 +568,11 @@ def fid_tradeoff(bundle: GeneratorBundle, model: GaussianModel,
 
     id_feats_raw = embed(id_net, images[:config.n_identity])
 
+    def compressed(tau: float) -> np.ndarray:
+        return _style_images(bundle, compress_rows(model, ws, tau))
+
+    fid_at = {}  # tau -> compression distance, shared by the points
+
     def point(psi: float) -> OperatingPoint:
         trunc_imgs = _style_images(bundle, truncate_rows(model, ws, psi))
         fid_t = fid_of(trunc_imgs)
@@ -570,8 +581,11 @@ def fid_tradeoff(bundle: GeneratorBundle, model: GaussianModel,
         trace = []
         for _ in range(config.max_bisect):
             tau = 0.5 * (lo + hi)
-            comp_imgs = _style_images(bundle, compress_rows(model, ws, tau))
-            fid_c = fid_of(comp_imgs)
+            comp_imgs = None
+            fid_c = fid_at.get(tau)
+            if fid_c is None:
+                comp_imgs = compressed(tau)
+                fid_c = fid_at[tau] = fid_of(comp_imgs)
             trace.append((float(tau), float(fid_c)))
             if abs(fid_c - fid_t) <= config.match_tol * fid_t:
                 matched = True
@@ -580,6 +594,8 @@ def fid_tradeoff(bundle: GeneratorBundle, model: GaussianModel,
                 lo = tau  # over-squashed: raise the threshold
             else:
                 hi = tau
+        if comp_imgs is None:
+            comp_imgs = compressed(tau)
         n_id = config.n_identity
         return OperatingPoint(
             psi=float(psi),

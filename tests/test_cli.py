@@ -466,6 +466,38 @@ class TestExitCodes:
             run("--version")
         assert exc.value.code == 0
 
+    FAILING_RUNS = {  # name: (exit code, message prefix, argv)
+        "tau-lo-above-tau-hi": (2, "error: ", ["fid-tradeoff", "--bundle", "bundle",
+                                               "--tau-lo", "9"]),
+        "missing-bundle": (3, "i/o error: ", ["fid-tradeoff",
+                                              "--bundle", "missing.json"]),
+        "repeated-lambda": (2, "error: ", ["interpolation", "--bundle", "bundle",
+                                           "--spaces", "w", "--lambdas", "0,0"]),
+    }
+
+    def failing_run(self, ws, tmp_path, capsys, name, out):
+        code, prefix, argv = self.FAILING_RUNS[name]
+        paths = {**ws, "missing.json": tmp_path / "missing.json"}
+        capsys.readouterr()
+        rc = run("experiment", *[paths.get(a, a) for a in argv],
+                 "--model", ws["model"], "--out", out)
+        err = capsys.readouterr().err
+        assert rc == code
+        assert err.startswith(prefix) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", list(FAILING_RUNS))
+    def test_failed_run_leaves_no_new_directory(self, ws, tmp_path, capsys, name):
+        self.failing_run(ws, tmp_path, capsys, name, tmp_path / "new" / "o")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_run_keeps_an_existing_out_directory(self, ws, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "keep.txt").write_text("kept\n")
+        self.failing_run(ws, tmp_path, capsys, "tau-lo-above-tau-hi", out)
+        assert list(out.iterdir()) == [out / "keep.txt"]
+        assert (out / "keep.txt").read_text() == "kept\n"
+
 
 class TestConfigFile:
     def test_flags_beat_config_beat_defaults(self, ws, tmp_path):

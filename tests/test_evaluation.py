@@ -1,11 +1,13 @@
 """Interpolation experiment, feature metrics, profiles, and the tradeoff."""
 
 import json
+import sys
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from latentprior import evaluation
 from latentprior.evaluation import (
     DEFAULT_LAMBDA_GRID,
     DEFAULT_T_GRID,
@@ -412,6 +414,16 @@ def small_report(bundle, fitted_model):
     return fid_tradeoff(bundle, fitted_model, cfg)
 
 
+# three points whose bisections share their first steps
+SHARED_BRACKET = dict(psis=(0.9, 0.7, 0.5), n_samples=96, n_identity=32,
+                      tau_lo=0.02, max_bisect=30, seed=0)
+
+
+@pytest.fixture(scope="module")
+def shared_report(bundle, fitted_model):
+    return fid_tradeoff(bundle, fitted_model, TradeoffConfig(**SHARED_BRACKET))
+
+
 class TestTradeoff:
 
     def test_report_layout(self, small_report):
@@ -437,11 +449,50 @@ class TestTradeoff:
         assert p.pixel_std_compression < small_report.pixel_std_uncorrected
 
     def test_deterministic_across_runs_and_threads(self, bundle, fitted_model,
-                                                   small_report):
-        cfg = TradeoffConfig(psis=(0.7,), n_samples=96, n_identity=32,
-                             tau_lo=0.02, max_bisect=30, seed=0)
-        again = fid_tradeoff(bundle, fitted_model, cfg, threads=2)
-        assert tradeoff_to_json(again) == tradeoff_to_json(small_report)
+                                                   shared_report):
+        # concurrent points may both compute a tau the memo lacks; the
+        # distance is a pure function of tau, so the bytes cannot change
+        cfg = TradeoffConfig(**SHARED_BRACKET)
+        assert all(p.matched for p in shared_report.points)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the points' memo reads and writes
+        try:
+            for threads in (2, 3):
+                again = fid_tradeoff(bundle, fitted_model, cfg, threads=threads)
+                assert tradeoff_to_json(again) == tradeoff_to_json(shared_report)
+        finally:
+            sys.setswitchinterval(interval)
+
+    # descending, every final tau is new; ascending, the later points end
+    # on taus the first point visited and synthesize them once more
+    @pytest.mark.parametrize("order", [1, -1], ids=["descending", "ascending"])
+    def test_revisited_taus_are_not_synthesized(self, bundle, fitted_model,
+                                                monkeypatch, order):
+        calls = []
+        synthesize = evaluation._style_images
+        monkeypatch.setattr(evaluation, "_style_images",
+                            lambda b, ws: calls.append(len(ws)) or synthesize(b, ws))
+        cfg = TradeoffConfig(**{**SHARED_BRACKET,
+                                "psis": SHARED_BRACKET["psis"][::order]})
+        report = fid_tradeoff(bundle, fitted_model, cfg)
+        visited, final_revisits, steps = set(), 0, 0
+        for p in report.points:
+            final_revisits += p.tau in visited
+            visited.update(tau for tau, _ in p.bisect_trace)
+            steps += len(p.bisect_trace)
+        # the sample and reference sets, one truncated set per psi, one
+        # compressed set per distinct tau, and the images of a final tau
+        # that an earlier point had already visited
+        fixed = 2 + len(report.points)
+        assert len(calls) == fixed + len(visited) + final_revisits
+        assert len(calls) < fixed + steps
+
+    def test_points_do_not_depend_on_psi_order(self, bundle, fitted_model,
+                                               shared_report):
+        cfg = TradeoffConfig(**{**SHARED_BRACKET,
+                                "psis": SHARED_BRACKET["psis"][::-1]})
+        reversed_report = fid_tradeoff(bundle, fitted_model, cfg)
+        assert reversed_report.points == shared_report.points[::-1]
 
     def test_psi_one_matches_immediately(self, bundle, fitted_model):
         # truncation at psi = 1 changes nothing; the first bisection probe
