@@ -14,7 +14,8 @@ Flags, --config and a replayed manifest are checked by one resolver, and
 the runners get their input files already loaded and checked to fit.
 
 Exit codes: 0 success, 2 bad arguments (a setting too large for memory
-included), 3 input-format error, 4 numerical failure.
+included), 3 input-format error, 4 numerical failure (a non-finite number
+bound for an output included).
 """
 
 from __future__ import annotations
@@ -47,12 +48,14 @@ from .evaluation import (
     interpolation_experiment,
     lambda_sweep,
     pc_magnitude_profile,
+    points_csv,
+    profile_csv,
     profile_to_json,
     report_to_json,
     tail_probability,
     tradeoff_to_json,
 )
-from .gaussian import fit_gaussian, load_model, sample_latents, save_model
+from .gaussian import fit_gaussian, json_text, load_model, sample_latents, save_model
 from .generator import (
     GeneratorDims,
     init_generator,
@@ -237,6 +240,10 @@ def _execute(cmd: Command, config: dict, inputs: dict, out: Path,
     out.mkdir(parents=True, exist_ok=True)
     try:
         outputs, derived = cmd.runner(config, loaded, out, threads)
+        # formed here, so a non-finite derived value fails the run like any error
+        manifest = json_text({"command": cmd.name, "version": __version__,
+                              "config": config, "inputs": inputs,
+                              "outputs": list(outputs), "derived": derived})
     except BaseException:
         # a failed run leaves no directory it made, unless something was
         # written into it; rmdir removes only empty directories
@@ -246,19 +253,9 @@ def _execute(cmd: Command, config: dict, inputs: dict, out: Path,
             except OSError:
                 break
         raise
-    duration = time.perf_counter() - start
-    manifest = {
-        "command": cmd.name,
-        "version": __version__,
-        "config": config,
-        "inputs": inputs,
-        "outputs": list(outputs),
-        "derived": derived,
-    }
-    (out / MANIFEST_NAME).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    (out / TIMING_NAME).write_text(
-        json.dumps({"command": cmd.name, "duration_seconds": duration}) + "\n")
+    (out / MANIFEST_NAME).write_text(manifest)
+    (out / TIMING_NAME).write_text(json_text(
+        {"command": cmd.name, "duration_seconds": time.perf_counter() - start}))
 
 
 def replay_manifest(manifest_path, out_dir, threads: int = 1) -> None:
@@ -357,12 +354,11 @@ def _interp_config(config) -> InterpolationConfig:
 
 def _write_report(out: Path, name: str, report) -> list:
     """The report and one curve CSV per condition; returns their file names."""
-    (out / name).write_text(report_to_json(report))
-    names = [name]
-    for c in report.conditions:
-        names.append(condition_filename(c))
-        (out / names[-1]).write_text(curve_csv(report, c))
-    return names
+    texts = {name: report_to_json(report)}
+    texts.update((condition_filename(c), curve_csv(report, c)) for c in report.conditions)
+    for file_name, text in texts.items():
+        (out / file_name).write_text(text)
+    return list(texts)
 
 
 def _run_interpolation(config, inputs, out: Path, threads):
@@ -377,17 +373,16 @@ def _run_lambda_sweep(config, inputs, out: Path, threads):
     base = _interp_config({**config, "lambdas": grid})
     reports = lambda_sweep(inputs["bundle"], inputs["model"], base, grid)
     outputs = []
-    summary = {space: {"endpoint": [], "midpoint": []}
-               for space in base.spaces}
     for lam, report in reports.items():
         outputs += _write_report(out, f"report_lambda-{lam:g}.json", report)
-        for space in base.spaces:
-            label = condition_label(space, lam)
-            summary[space]["endpoint"].append(report.endpoint_error(label))
-            summary[space]["midpoint"].append(report.midpoint_error(label))
-    sweep = {"kind": "lambda-sweep", "grid": list(grid),
-             "spaces": list(base.spaces), "summary": summary}
-    (out / "sweep.json").write_text(json.dumps(sweep, indent=2, sort_keys=True) + "\n")
+    summary = {space: {"endpoint": [r.endpoint_error(condition_label(space, lam))
+                                    for lam, r in reports.items()],
+                       "midpoint": [r.midpoint_error(condition_label(space, lam))
+                                    for lam, r in reports.items()]}
+               for space in base.spaces}
+    (out / "sweep.json").write_text(json_text(
+        {"kind": "lambda-sweep", "grid": grid, "spaces": base.spaces,
+         "summary": summary}))
     outputs.append("sweep.json")
     return outputs, {}
 
@@ -405,17 +400,7 @@ def _run_fid_tradeoff(config, inputs, out: Path, threads):
     )
     report = fid_tradeoff(inputs["bundle"], inputs["model"], cfg, threads=threads)
     (out / "tradeoff.json").write_text(tradeoff_to_json(report))
-    lines = ["psi,tau,fid_truncation,fid_compression,matched,"
-             "identity_truncation,identity_compression,"
-             "pixel_std_truncation,pixel_std_compression"]
-    for p in report.points:
-        lines.append(
-            f"{p.psi!r},{p.tau!r},{p.fid_truncation!r},{p.fid_compression!r},"
-            f"{int(p.matched)},{p.identity_truncation!r},"
-            f"{p.identity_compression!r},{p.pixel_std_truncation!r},"
-            f"{p.pixel_std_compression!r}"
-        )
-    (out / "points.csv").write_text("\n".join(lines) + "\n")
+    (out / "points.csv").write_text(points_csv(report))
     return (["tradeoff.json", "points.csv"],
             {"fid_uncorrected": report.fid_uncorrected,
              "all_matched": all(p.matched for p in report.points)})
@@ -431,15 +416,7 @@ def _run_pc_profile(config, inputs, out: Path, threads):
     config["k"] = k
     profile = pc_magnitude_profile(ws, model, k, config["tau"])
     (out / "profile.json").write_text(profile_to_json(profile))
-    lines = ["dim,flagged_mean,flagged_std,unflagged_mean,unflagged_std"]
-    for i in range(k):
-        lines.append(
-            f"{i},{float(profile.flagged.mean[i])!r},"
-            f"{float(profile.flagged.std[i])!r},"
-            f"{float(profile.unflagged.mean[i])!r},"
-            f"{float(profile.unflagged.std[i])!r}"
-        )
-    (out / "profile.csv").write_text("\n".join(lines) + "\n")
+    (out / "profile.csv").write_text(profile_csv(profile))
     return (["profile.json", "profile.csv"],
             {"flagged_fraction": profile.flagged_fraction,
              "tail_probability_analytic": tail_probability(model, config["tau"])})

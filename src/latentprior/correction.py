@@ -62,7 +62,8 @@ def compress_values(values, threshold: float) -> np.ndarray:
 
     Identity below the threshold; above it the magnitude m maps to
     threshold * (ln(m / threshold) + 1), which matches value and slope
-    at the threshold, so the map is C1.
+    at the threshold, so the map is C1. Where m / threshold overflows (a
+    tiny threshold), its log is taken as ln(m) - ln(threshold).
     """
     if threshold <= 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
@@ -70,7 +71,14 @@ def compress_values(values, threshold: float) -> np.ndarray:
     mag = np.abs(arr)
     # ratio clipped to 1 keeps the log finite at 0; those entries take
     # the identity branch anyway.
-    squashed = threshold * (np.log(np.maximum(mag, threshold) / threshold) + 1.0)
+    clipped = np.maximum(mag, threshold)
+    with np.errstate(over="ignore"):
+        ratio = clipped / threshold
+    log_ratio = np.log(ratio)
+    over = np.isinf(ratio)
+    if over.any():
+        log_ratio = np.where(over, np.log(clipped) - np.log(threshold), log_ratio)
+    squashed = threshold * (log_ratio + 1.0)
     return np.where(mag > threshold, np.sign(arr) * squashed, arr)
 
 

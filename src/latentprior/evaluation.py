@@ -23,17 +23,17 @@ pool, whose worker count never changes a result. Report aggregates
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .correction import compress_rows, compression_threshold, to_pc, truncate_rows
 from .errors import NumericalFailure
 from .features import embed, init_feature_net
-from .gaussian import GaussianModel, frechet_distance, moments
+from .gaussian import (GaussianModel, csv_text, frechet_distance, json_text,
+                       moments, record_fields)
 # not called here: perfbench wraps evaluation.fit_gaussian (name pinned in tests)
 from .gaussian import fit_gaussian  # noqa: F401
 from .generator import (
@@ -45,7 +45,6 @@ from .generator import (
 )
 from .inversion import (
     LOSS_PIXEL,
-    LOSS_PROXY,
     SPACE_W,
     SPACE_WPLUS,
     InversionConfig,
@@ -119,14 +118,14 @@ class InterpolationConfig:
     def __post_init__(self):
         if not self.spaces:
             raise ValueError("at least one space is required")
-        for sp in self.spaces:
-            if sp not in (SPACE_W, SPACE_WPLUS):
-                raise ValueError(f"unknown space {sp!r}")
         if not self.prior_weights:
             raise ValueError("prior weights must be nonempty")
         # copysign refuses -0.0 too: it equals 0.0 but has its own label
         if any(math.copysign(1.0, w) < 0 for w in self.prior_weights):
             raise ValueError("prior weights must be nonnegative")
+        for sp in self.spaces:  # InversionConfig checks the inversion settings
+            for w in self.prior_weights:
+                self.inversion_config(sp, w)
         labels = {condition_label(sp, w)
                   for sp in self.spaces for w in self.prior_weights}
         if len(labels) != len(self.spaces) * len(self.prior_weights):
@@ -136,10 +135,6 @@ class InterpolationConfig:
             raise ValueError("n_images must be >= 2")
         if self.n_pairs < 1:
             raise ValueError("n_pairs must be >= 1")
-        if self.learning_rate is not None and self.learning_rate < 0:
-            raise ValueError("learning_rate must be nonnegative")
-        if self.loss_kind not in (LOSS_PIXEL, LOSS_PROXY):
-            raise ValueError(f"unknown loss_kind {self.loss_kind!r}")
         grid = tuple(float(t) for t in self.t_grid)
         if any(t < 0 or t > 1 for t in grid):
             raise ValueError("t_grid values must lie in [0, 1]")
@@ -147,6 +142,12 @@ class InterpolationConfig:
             if needed not in grid:
                 raise ValueError(f"t_grid must contain {needed}")
         object.__setattr__(self, "t_grid", grid)
+
+    def inversion_config(self, space: str, prior_weight: float) -> InversionConfig:
+        """The settings every target of one condition is inverted with."""
+        return InversionConfig(space, prior_weight, learning_rate=self.learning_rate,
+                               iterations=self.iterations, noise_ramp=self.noise_ramp,
+                               loss_kind=self.loss_kind)
 
 
 @dataclass(frozen=True)
@@ -264,14 +265,7 @@ def _invert_pool(bundle, model, config: InterpolationConfig, space: str,
                  truth_latents: np.ndarray):
     """Invert every target of a pool as one batch; failures are masked, not raised."""
     n = config.n_images
-    cfg = InversionConfig(
-        target_space=space,
-        prior_weight=weight,
-        learning_rate=config.learning_rate,
-        iterations=config.iterations,
-        noise_ramp=config.noise_ramp,
-        loss_kind=config.loss_kind,
-    )
+    cfg = config.inversion_config(space, weight)
     seeds = [child_seed(config.seed, STREAM_TASKS, space_idx, i) for i in range(n)]
     init = truth_latents if config.oracle_init else None
     results = invert_batch(targets, bundle, model, cfg, seeds, init_latents=init)
@@ -625,49 +619,33 @@ def fid_tradeoff(bundle: GeneratorBundle, model: GaussianModel,
 
 
 def report_to_json(report: ExperimentReport) -> str:
-    doc = {
+    """The config, then per condition its curve, summary and record fields."""
+    curves = {c: report.curve(c) for c in report.conditions}
+    return json_text({
         "kind": "interpolation",
         "config": report.config,
-        "t_grid": list(report.t_grid),
-        "conditions": list(report.conditions),
-        "curves": {},
-        "summary": {},
-        "records": {},
-    }
-    for c in report.conditions:
-        rec = report.record(c)
-        curve = report.curve(c)
-        doc["curves"][c] = (None if curve is None else
-                            {"mean": curve[0].tolist(), "std": curve[1].tolist()})
-        doc["summary"][c] = {
+        "t_grid": report.t_grid,
+        "conditions": report.conditions,
+        "curves": {c: None if curve is None else {"mean": curve[0], "std": curve[1]}
+                   for c, curve in curves.items()},
+        "summary": {c: {
             "median_latent_error": report.median_latent_error(c),
             "mean_image_error": report.mean_image_error(c),
             "endpoint_error": report.endpoint_error(c),
             "midpoint_error": report.midpoint_error(c),
-            "failed_pairs": rec.n_failed_pairs,
-        }
-        doc["records"][c] = {
-            "space": rec.space,
-            "prior_weight": rec.prior_weight,
-            "target_ok": rec.target_ok.tolist(),
-            "latent_errors": rec.latent_errors.tolist(),
-            "image_errors": rec.image_errors.tolist(),
-            "pair_indices": rec.pair_indices.tolist(),
-            "pair_ok": rec.pair_ok.tolist(),
-            "pair_errors": rec.pair_errors.tolist(),
-        }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            "failed_pairs": report.record(c).n_failed_pairs,
+        } for c in report.conditions},
+        "records": report.records,
+    })
 
 
 def curve_csv(report: ExperimentReport, condition: str) -> str:
     """One curve as CSV: t, mean_error, std_error, condition; only the
     header when no pair was kept."""
     curve = report.curve(condition)
-    lines = ["t,mean_error,std_error,condition"]
-    if curve is not None:
-        for t, m, s in zip(report.t_grid, *curve):
-            lines.append(f"{t:g},{float(m)!r},{float(s)!r},{condition}")
-    return "\n".join(lines) + "\n"
+    rows = [] if curve is None else [(f"{t:g}", m, s, condition)
+                                     for t, m, s in zip(report.t_grid, *curve)]
+    return csv_text(("t", "mean_error", "std_error", "condition"), rows)
 
 
 def condition_filename(condition: str) -> str:
@@ -675,28 +653,25 @@ def condition_filename(condition: str) -> str:
 
 
 def profile_to_json(profile: MagnitudeProfile) -> str:
-    def group(g: ProfileGroup) -> dict:
-        return {"count": g.count, "mean": g.mean.tolist(), "std": g.std.tolist()}
+    """The profile's fields, both groups nested, and its flagged fraction."""
+    return json_text({"kind": "pc-profile", **record_fields(profile),
+                      "flagged_fraction": profile.flagged_fraction})
 
-    doc = {
-        "kind": "pc-profile",
-        "k": profile.k,
-        "tau": profile.tau,
-        "threshold": profile.threshold,
-        "n_samples": profile.n_samples,
-        "flagged_fraction": profile.flagged_fraction,
-        "flagged": group(profile.flagged),
-        "unflagged": group(profile.unflagged),
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+def profile_csv(profile: MagnitudeProfile) -> str:
+    """One row per leading component: its mean and std |v^p| in each group."""
+    f, u = profile.flagged, profile.unflagged
+    return csv_text(("dim", "flagged_mean", "flagged_std",
+                     "unflagged_mean", "unflagged_std"),
+                    zip(range(profile.k), f.mean, f.std, u.mean, u.std))
 
 
 def tradeoff_to_json(report: TradeoffReport) -> str:
-    doc = {
-        "kind": "fid-tradeoff",
-        "config": report.config,
-        "fid_uncorrected": report.fid_uncorrected,
-        "pixel_std_uncorrected": report.pixel_std_uncorrected,
-        "points": [asdict(p) for p in report.points],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The report's fields; each point with every field, bisect_trace included."""
+    return json_text({"kind": "fid-tradeoff", **record_fields(report)})
+
+
+def points_csv(report: TradeoffReport) -> str:
+    """Each operating point's scalar fields; bisect_trace is in tradeoff.json."""
+    columns = [f.name for f in fields(OperatingPoint) if f.name != "bisect_trace"]
+    return csv_text(columns, ([getattr(p, c) for c in columns] for p in report.points))

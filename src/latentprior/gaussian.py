@@ -18,12 +18,13 @@ pairs, so a Frechet feature distance needs no model.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
-from .errors import InputFormatError
+from .errors import InputFormatError, NumericalFailure
 from .seeding import STREAM_SAMPLES, rng_from
 
 # Relative regularization added to the covariance diagonal before the
@@ -227,8 +228,10 @@ def validate_model(model: GaussianModel) -> None:
 
 # --- serialization ---------------------------------------------------------
 #
-# One JSON document per model. Floats carry 17 significant digits so a
-# reload restores the exact 64-bit values. Matrices are flat row-major.
+# json_text and csv_text write the JSON and CSV outputs: floats by repr,
+# and a NaN or an infinity raises NumericalFailure. The model and the
+# latents' JSON twin have their own writer: 17 significant digits, matrices
+# flat row-major.
 
 _MODEL_KEYS = (
     "dim", "sample_count", "mean_v", "mean_w", "cov_v",
@@ -240,6 +243,49 @@ def json_number(x: float) -> str:
     """17-digit text of x; -0.0 keeps its point, since "-0" reads as int 0."""
     text = format(float(x), ".17g")
     return "-0.0" if text == "-0" else text
+
+
+def record_fields(record, skip=()) -> dict:
+    """A dataclass's fields by name, in declaration order, values as held."""
+    return {f.name: getattr(record, f.name) for f in fields(record)
+            if f.name not in skip}
+
+
+def _plain(obj):
+    """json.dumps's hook: an ndarray or a numpy scalar as .tolist() gives it,
+    a dataclass as its fields; anything else raises TypeError."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    return record_fields(obj)
+
+
+def json_text(doc) -> str:
+    """doc as JSON, indented by 2 with sorted keys and a final newline;
+    dataclasses and numpy values may nest anywhere in it."""
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False,
+                          default=_plain) + "\n"
+    except ValueError as exc:  # "Out of range float values ...: nan"
+        raise NumericalFailure("non-finite number in an output: "
+                               + str(exc).rpartition(" ")[2]) from None
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, int, np.bool_, np.integer)):
+        return str(int(value))  # a bool as 0/1
+    number = float(value)
+    if not math.isfinite(number):
+        raise NumericalFailure(f"non-finite number in an output: {number}")
+    return repr(number)
+
+
+def csv_text(header, rows) -> str:
+    """A header line and one line per row, comma-separated; strings are
+    written as given."""
+    lines = [",".join(header)] + [",".join(map(_csv_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def json_array(values, shape, name: str) -> np.ndarray:

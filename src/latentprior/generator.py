@@ -51,11 +51,12 @@ differ from the full-resolution backward's in the last places.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputFormatError
+from .gaussian import json_text
 from .seeding import STREAM_WEIGHTS, STREAM_Z, rng_from
 from .spaces import SLOPE_V_TO_W, lru, lru_deriv
 
@@ -420,8 +421,7 @@ def min_preactivation_gap(bundle: GeneratorBundle, stack) -> float:
 
 
 def bundle_to_json(bundle: GeneratorBundle) -> str:
-    doc = {"seed": bundle.seed, "dims": asdict(bundle.dims)}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json_text({"seed": bundle.seed, "dims": bundle.dims})
 
 
 def bundle_from_json(text: str | bytes) -> GeneratorBundle:

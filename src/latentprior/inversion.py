@@ -23,16 +23,16 @@ frozen, with its update masked to zero. invert is the case n = 1.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from . import features
 from .errors import NumericalFailure
-from .gaussian import GaussianModel, mahalanobis_sq_and_grad_batch
+from .gaussian import (GaussianModel, json_text, mahalanobis_sq_and_grad_batch,
+                       record_fields)
 # not called here: the benchmark's tracer (perfbench/spans.py) wraps them
 # under these names, and tests/test_benchmark_names.py pins them
 from .gaussian import (mahalanobis_sq_batch, mahalanobis_sq_grad_batch,  # noqa: F401
@@ -386,13 +386,6 @@ def invert(target_image, bundle: GeneratorBundle, model: GaussianModel,
 
 
 def result_to_json(result: InversionResult, config: InversionConfig) -> str:
-    """Inversion result plus the full config, for provenance."""
-    doc = {
-        "config": asdict(config),
-        "latent": np.asarray(result.latent).tolist(),
-        "loss_trace": result.loss_trace.tolist(),
-        "prior_trace": result.prior_trace.tolist(),
-        "final_image_error": result.final_image_error,
-        "iterations_run": result.iterations_run,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The result's fields but the final image, plus the config, for provenance."""
+    return json_text({"config": config,
+                      **record_fields(result, skip=("final_image",))})

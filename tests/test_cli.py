@@ -4,7 +4,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -356,6 +356,34 @@ class TestExitCodes:
         assert rc == 2
         assert err.startswith("error: out of memory: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", [float("nan"), np.float64(-np.inf),
+                                       np.array([0.5, np.nan])])
+    def test_non_finite_derived_value_is_numeric_error(self, tmp_path, capsys,
+                                                       monkeypatch, value):
+        def runner(*args):
+            return [], {"fine": 1.0, "bad": value}
+        monkeypatch.setitem(_COMMANDS, "init-gan",
+                            replace(_COMMANDS["init-gan"], runner=runner))
+        capsys.readouterr()
+        rc = run("init-gan", "--out", tmp_path / "o")
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert "non-finite" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_zero_iterations_are_refused_before_any_work(self, ws, tmp_path, capsys,
+                                                         monkeypatch):
+        def no_targets(*args):
+            raise AssertionError("targets synthesized")
+        monkeypatch.setattr(evaluation, "_ground_truth", no_targets)
+        capsys.readouterr()
+        rc = run("experiment", "interpolation", "--bundle", ws["bundle"],
+                 "--model", ws["model"], "--iters", 0, "--out", tmp_path / "o")
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and "iterations must be >= 1" in err
+
     def test_thread_count_must_be_positive(self, ws, tmp_path):
         rc = run("fit-prior", "--bundle", ws["bundle"], "--threads", 0,
                  "--out", tmp_path / "o")
@@ -637,6 +665,9 @@ class TestExperimentCommands:
         assert "curve_w_lambda-0.csv" in doc["outputs"]
         curve = (out / "curve_w_lambda-0.csv").read_text().strip().split("\n")
         assert len(curve) == 12
+        # a record serializes from its own fields
+        record = json.loads((out / "report.json").read_text())["records"]["w:lambda=0"]
+        assert sorted(record) == sorted(f.name for f in fields(evaluation.ConditionRecord))
 
     def test_lambda_sweep_outputs(self, ws, tmp_path):
         out = tmp_path / "sweep"
@@ -664,8 +695,25 @@ class TestExperimentCommands:
         assert isinstance(doc["derived"]["all_matched"], bool)
         assert "fid_uncorrected" in doc["derived"]
         points = (out / "points.csv").read_text().strip().split("\n")
+        assert points[0].split(",") == [f.name for f in fields(evaluation.OperatingPoint)
+                                        if f.name != "bisect_trace"]
         # psi parses back exactly, like every other CSV float
         assert [float(row.split(",")[0]) for row in points[1:]] == [0.9, 0.7123456789]
+
+    @pytest.mark.parametrize("command", [
+        ["correct", "--model", "model", "--latents", "latents", "--tau", 1e-310],
+        ["experiment", "fid-tradeoff", "--bundle", "bundle", "--model", "model",
+         "--tau-lo", 1e-320, "--tau-hi", 1e-310, "--samples", 48,
+         "--identity-samples", 16, "--max-bisect", 4]])
+    def test_tiny_compression_threshold_stays_finite(self, ws, tmp_path, command):
+        # m / threshold overflows at such a tau; no warning may reach stderr
+        out = tmp_path / "o"
+        argv = [ws.get(a, a) if isinstance(a, str) else a for a in command]
+        assert run_process(*argv, "--out", out) == (0, "")
+        for name in manifest_of(out)["outputs"]:
+            assert np.all(np.isfinite(_numbers_in(out / name))), name
+        if command[0] == "correct":
+            assert np.all(np.isfinite(read_latents(out / "latents.lat")))
 
     def test_pc_profile_defaults_k_into_the_manifest(self, ws, tmp_path):
         out = tmp_path / "profile"

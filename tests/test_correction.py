@@ -152,6 +152,27 @@ class TestCompressValues:
         npt.assert_allclose(straddle, 1.0, atol=1e-4)
 
 
+    def test_tiny_threshold_stays_finite(self):
+        # m / theta overflows; the log branch is then ln(m) - ln(theta)
+        theta = 1e-310
+        vals = np.array([2.0, -3.0, 1e-311, 0.0])
+        with np.errstate(all="raise"):
+            out = compress_values(vals, theta)
+        assert np.all(np.isfinite(out))
+        npt.assert_allclose(out[:2], [theta * (np.log(2.0) - np.log(theta) + 1.0),
+                                      -theta * (np.log(3.0) - np.log(theta) + 1.0)],
+                            rtol=1e-12)
+        npt.assert_array_equal(out[2:], vals[2:])
+
+    def test_bits_of_the_ratio_form_where_it_is_finite(self, rng):
+        theta = 0.3
+        vals = rng.standard_normal(500) * 5.0
+        mag = np.abs(vals)
+        ratio_form = theta * (np.log(np.maximum(mag, theta) / theta) + 1.0)
+        want = np.where(mag > theta, np.sign(vals) * ratio_form, vals)
+        assert compress_values(vals, theta).tobytes() == want.tobytes()
+
+
 class TestCompressRows:
     def test_single_tail_coordinate_oracle(self, model):
         # one sample pushed 5 sigma along the leading component; tau = 0.5

@@ -30,7 +30,7 @@ from latentprior.evaluation import (
 from latentprior.features import FeatureNet, embed
 from latentprior.gaussian import fit_gaussian, sample_latents
 from latentprior.generator import GeneratorDims, init_generator
-from latentprior.inversion import SPACE_W, SPACE_WPLUS, NoiseRamp
+from latentprior.inversion import LOSS_PROXY, SPACE_W, SPACE_WPLUS, NoiseRamp
 from latentprior.spaces import v_to_w
 
 
@@ -84,10 +84,20 @@ class TestConfigValidation:
         {"t_grid": (0.0, 1.0)},            # midpoint missing
         {"t_grid": (0.0, 0.5, 1.0, 1.5)},  # outside [0, 1]
         {"prior_weights": (1e-5, 1.000001e-5)},  # one condition label
+        {"iterations": 0},
+        {"learning_rate": -0.01},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             quiet_config(**kwargs)
+
+    def test_each_condition_inverts_with_the_shared_settings(self):
+        ramp = NoiseRamp(initial_std_factor=0.1)
+        cfg = quiet_config(noise_ramp=ramp, loss_kind=LOSS_PROXY)
+        inv = cfg.inversion_config(SPACE_WPLUS, 1e-4)
+        assert (inv.target_space, inv.prior_weight) == (SPACE_WPLUS, 1e-4)
+        assert (inv.learning_rate, inv.iterations) == (0.05, 60)
+        assert (inv.noise_ramp, inv.loss_kind) == (ramp, LOSS_PROXY)
 
     def test_t_grid_normalized_to_floats(self):
         cfg = quiet_config(t_grid=(0, 0.5, 1))
