@@ -10,8 +10,10 @@ thread counts, so re-running a command from its manifest (replay_manifest)
 reproduces every output byte for byte at any --threads value. Wall-clock
 duration goes to a separate timing.json. A --config JSON file may supply
 any subset of a command's settings, with explicit flags taking precedence.
-Flags, --config and a replayed manifest are checked by one resolver, and
-the runners get their input files already loaded and checked to fit.
+Flags, --config and a replayed manifest are checked by one resolver, the
+runners get their input files already loaded and checked to fit, and one
+helper (_settings) builds each command's config dataclass from its
+resolved settings.
 
 Exit codes: 0 success, 2 bad arguments (a setting too large for memory
 included), 3 input-format error, 4 numerical failure (a non-finite number
@@ -286,10 +288,29 @@ def replay_manifest(manifest_path, out_dir, threads: int = 1) -> None:
 # --- runners ------------------------------------------------------------------
 
 
+# flag -> the config field it sets, where the two names differ; any other
+# flag sets the field named by its snake_case spelling
+_FIELDS = {"space": "target_space", "lambda": "prior_weight", "loss": "loss_kind",
+           "noise-initial-std": "initial_std_factor",
+           "noise-ramp-fraction": "ramp_fraction", "lambdas": "prior_weights",
+           "grid": "prior_weights", "images": "n_images", "pairs": "n_pairs",
+           "iters": "iterations", "samples": "n_samples",
+           "identity-samples": "n_identity"}
+
+
+def _settings(cls, config: dict, **given):
+    """A ``cls`` from the resolved settings that name its fields, lists as
+    tuples; ``given`` fields are passed as they are."""
+    names = {f.name for f in fields(cls)}
+    for flag, value in config.items():
+        name = _FIELDS.get(flag, flag.replace("-", "_"))
+        if name in names and name not in given:
+            given[name] = tuple(value) if isinstance(value, list) else value
+    return cls(**given)
+
+
 def _run_init_gan(config, inputs, out: Path, threads):
-    dims = GeneratorDims(**{f.name: config[f.name.replace("_", "-")]
-                            for f in fields(GeneratorDims)})
-    bundle = init_generator(config["seed"], dims)
+    bundle = init_generator(config["seed"], _settings(GeneratorDims, config))
     save_bundle(bundle, out / "bundle.json")
     return ["bundle.json"], {}
 
@@ -306,18 +327,7 @@ def _run_fit_prior(config, inputs, out: Path, threads):
 
 def _run_invert(config, inputs, out: Path, threads):
     bundle = inputs["bundle"]
-    cfg = InversionConfig(
-        target_space=config["space"],
-        prior_weight=config["lambda"],
-        learning_rate=config["learning-rate"],
-        iterations=config["iterations"],
-        noise_ramp=NoiseRamp(
-            initial_std_factor=config["noise-initial-std"],
-            ramp_fraction=config["noise-ramp-fraction"],
-        ),
-        loss_kind=config["loss"],
-        seed=config["seed"],
-    )
+    cfg = _settings(InversionConfig, config, noise_ramp=_settings(NoiseRamp, config))
     result = invert(inputs["target"], bundle, inputs["model"], cfg)
     (out / "result.json").write_text(result_to_json(result, cfg))
     write_latents(out / "latent.lat", result.latent.reshape(-1, bundle.dims.latent_dim))
@@ -329,27 +339,12 @@ def _run_invert(config, inputs, out: Path, threads):
 
 def _run_correct(config, inputs, out: Path, threads):
     model, rows = inputs["model"], inputs["latents"]
-    cfg = CorrectionConfig(method=config["method"], psi=config["psi"],
-                           tau=config["tau"])
+    cfg = _settings(CorrectionConfig, config)
     write_latents(out / "latents.lat", correct_rows(model, rows, cfg))
     derived = {"rows": int(rows.shape[0])}
     if cfg.method == METHOD_COMPRESS:
         derived["threshold"] = compression_threshold(model, cfg.tau)
     return ["latents.lat"], derived
-
-
-def _interp_config(config) -> InterpolationConfig:
-    return InterpolationConfig(
-        spaces=tuple(config["spaces"]),
-        prior_weights=tuple(config["lambdas"]),
-        n_images=config["images"],
-        n_pairs=config["pairs"],
-        iterations=config["iters"],
-        learning_rate=config["learning-rate"],
-        loss_kind=config["loss"],
-        oracle_init=config["oracle-init"],
-        seed=config["seed"],
-    )
 
 
 def _write_report(out: Path, name: str, report) -> list:
@@ -363,15 +358,15 @@ def _write_report(out: Path, name: str, report) -> list:
 
 def _run_interpolation(config, inputs, out: Path, threads):
     report = interpolation_experiment(inputs["bundle"], inputs["model"],
-                                      _interp_config(config),
+                                      _settings(InterpolationConfig, config),
                                       target_bundle=inputs.get("target-bundle"))
     return _write_report(out, "report.json", report), {}
 
 
 def _run_lambda_sweep(config, inputs, out: Path, threads):
-    grid = config["grid"]
-    base = _interp_config({**config, "lambdas": grid})
-    reports = lambda_sweep(inputs["bundle"], inputs["model"], base, grid)
+    base = _settings(InterpolationConfig, config)
+    reports = lambda_sweep(inputs["bundle"], inputs["model"], base,
+                           base.prior_weights)
     outputs = []
     for lam, report in reports.items():
         outputs += _write_report(out, f"report_lambda-{lam:g}.json", report)
@@ -381,24 +376,15 @@ def _run_lambda_sweep(config, inputs, out: Path, threads):
                                     for lam, r in reports.items()]}
                for space in base.spaces}
     (out / "sweep.json").write_text(json_text(
-        {"kind": "lambda-sweep", "grid": grid, "spaces": base.spaces,
+        {"kind": "lambda-sweep", "grid": base.prior_weights, "spaces": base.spaces,
          "summary": summary}))
     outputs.append("sweep.json")
     return outputs, {}
 
 
 def _run_fid_tradeoff(config, inputs, out: Path, threads):
-    cfg = TradeoffConfig(
-        psis=tuple(config["psis"]),
-        n_samples=config["samples"],
-        n_identity=config["identity-samples"],
-        tau_lo=config["tau-lo"],
-        tau_hi=config["tau-hi"],
-        match_tol=config["match-tol"],
-        max_bisect=config["max-bisect"],
-        seed=config["seed"],
-    )
-    report = fid_tradeoff(inputs["bundle"], inputs["model"], cfg, threads=threads)
+    report = fid_tradeoff(inputs["bundle"], inputs["model"],
+                          _settings(TradeoffConfig, config), threads=threads)
     (out / "tradeoff.json").write_text(tradeoff_to_json(report))
     (out / "points.csv").write_text(points_csv(report))
     return (["tradeoff.json", "points.csv"],
@@ -553,7 +539,7 @@ _register(Command(
              help="model samples to profile when no --latents file is given"),
         Flag("k", "int", None,
              help="leading components to report (default min(30, model dim))"),
-        Flag("tau", "float", 0.5),
+        Flag("tau", "float", CorrectionConfig.tau),
     ),
     required_inputs=("model",),
     optional_inputs=("latents",),

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalFailure
 from .gaussian import GaussianModel
 from .spaces import v_to_w, w_to_v
 
@@ -46,6 +47,17 @@ def to_pc(model: GaussianModel, v) -> np.ndarray:
     """V-space coordinates to principal-component coordinates (row-wise)."""
     arr = np.asarray(v, dtype=np.float64)
     return (arr - model.mean_v) @ model.eigvecs
+
+
+def w_to_pc(model: GaussianModel, rows) -> np.ndarray:
+    """W rows to principal-component coordinates; rows large enough that
+    the V map or the projection overflows raise NumericalFailure."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vp = to_pc(model, w_to_v(rows))
+    if not np.isfinite(vp).all():
+        raise NumericalFailure("latents too large: their principal-component "
+                               "coordinates are not finite")
+    return vp
 
 
 def from_pc(model: GaussianModel, vp) -> np.ndarray:
@@ -84,8 +96,7 @@ def compress_values(values, threshold: float) -> np.ndarray:
 
 def compress_rows(model: GaussianModel, rows, tau: float) -> np.ndarray:
     """W rows -> V -> PC coordinates -> squash -> back to W."""
-    vp = to_pc(model, w_to_v(rows))
-    vp = compress_values(vp, compression_threshold(model, tau))
+    vp = compress_values(w_to_pc(model, rows), compression_threshold(model, tau))
     return v_to_w(from_pc(model, vp))
 
 

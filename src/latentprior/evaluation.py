@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .correction import compress_rows, compression_threshold, to_pc, truncate_rows
+from .correction import compress_rows, compression_threshold, truncate_rows, w_to_pc
 from .errors import NumericalFailure
 from .features import embed, init_feature_net
 from .gaussian import (GaussianModel, csv_text, frechet_distance, json_text,
@@ -62,7 +62,7 @@ from .seeding import (
     child_seed,
     rng_from,
 )
-from .spaces import lift_rows, w_to_v
+from .spaces import lift_rows
 
 # Fixed seeds for the two stand-in feature networks: one plays the role of
 # the distribution-distance features, one the role of the identity embedding.
@@ -423,7 +423,7 @@ def pc_magnitude_profile(latents_w, model: GaussianModel, k: int,
         raise ValueError(f"k must be in [1, {model.dim}], got {k}")
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    vp = to_pc(model, w_to_v(arr))
+    vp = w_to_pc(model, arr)
     threshold = compression_threshold(model, tau)
     flags = np.max(np.abs(vp), axis=1) > threshold
     mags = np.abs(vp[:, :k])
@@ -643,7 +643,7 @@ def curve_csv(report: ExperimentReport, condition: str) -> str:
     """One curve as CSV: t, mean_error, std_error, condition; only the
     header when no pair was kept."""
     curve = report.curve(condition)
-    rows = [] if curve is None else [(f"{t:g}", m, s, condition)
+    rows = [] if curve is None else [(float(t), m, s, condition)
                                      for t, m, s in zip(report.t_grid, *curve)]
     return csv_text(("t", "mean_error", "std_error", "condition"), rows)
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import defaultdict
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -11,9 +12,10 @@ import numpy as np
 import pytest
 
 import latentprior
-from latentprior import evaluation
+from latentprior import cli, evaluation
 from latentprior.cli import (
     _COMMANDS,
+    _FIELDS,
     MANIFEST_NAME,
     TIMING_NAME,
     _resolve,
@@ -281,6 +283,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 3
         assert err.startswith("input error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["correct --method compression",
+                                         "experiment pc-profile",
+                                         "correct --method truncation"])
+    def test_latents_whose_v_map_overflows(self, ws, tmp_path, command):
+        # finite rows, so read_latents takes them, but 5 * -1e308 overflows;
+        # a fresh process, so numpy warnings would reach stderr
+        huge = tmp_path / "huge.lat"
+        write_latents(huge, np.where(np.arange(96).reshape(3, 32) % 2, 1e308, -1e308))
+        out = tmp_path / "o"
+        rc, err = run_process(*command.split(), "--model", ws["model"],
+                              "--latents", huge, "--out", out)
+        if command.endswith("truncation"):  # never leaves W
+            assert (rc, err) == (0, "")
+            assert np.all(np.isfinite(read_latents(out / "latents.lat")))
+        else:
+            assert rc == 4
+            assert err.startswith("numerical failure: ") and err.count("\n") == 1
+            assert not out.exists()
 
     @pytest.mark.parametrize("command", ["correct", "experiment pc-profile"])
     @pytest.mark.parametrize("element", ["1.5", True, None])
@@ -880,6 +901,38 @@ class TestReplay:
         doc = manifest_of(tmp_path / "o")
         resolved = _resolve(_COMMANDS[command], {}, {**doc["config"], **doc["inputs"]})
         assert resolved == (doc["config"], doc["inputs"])
+
+
+class TestSettingsMap:
+    # the settings a runner reads itself instead of building a config from them
+    READ_BY_RUNNER = {"init-gan": {"seed"}, "fit-prior": {"seed", "samples"},
+                      "experiment pc-profile": {"seed", "samples", "k", "tau"}}
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_every_flag_sets_a_field_of_a_config_its_runner_builds(
+            self, monkeypatch, tmp_path, command):
+        built, settings = [], cli._settings
+
+        def spy(cls, config, **given):
+            built.append(cls)
+            return settings(cls, config, **given)
+
+        monkeypatch.setattr(cli, "_settings", spy)
+        cmd = _COMMANDS[command]
+        config, _ = _resolve(cmd, {}, dict.fromkeys(cmd.required_inputs, "path"))
+        try:  # with no inputs loaded, a runner fails after building its configs
+            cmd.runner(config, defaultdict(lambda: None), tmp_path, 1)
+        except AttributeError:
+            pass
+        names = {f.name for cls in built for f in fields(cls)}
+        unset = [f.name for f in cmd.flags
+                 if f.name not in self.READ_BY_RUNNER.get(command, ())
+                 and _FIELDS.get(f.name, f.name.replace("-", "_")) not in names]
+        assert not unset, f"{command} builds {built}; nothing takes {unset}"
+
+    def test_every_table_entry_is_a_flag(self):
+        flags = {f.name for cmd in _COMMANDS.values() for f in cmd.flags}
+        assert set(_FIELDS) <= flags
 
 
 def _numbers_in(path: Path) -> np.ndarray:

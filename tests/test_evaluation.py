@@ -202,17 +202,21 @@ class TestSmallExperiment:
             assert summary["midpoint_error"] == report.midpoint_error(condition)
             assert summary["failed_pairs"] == 0
 
-    def test_curve_csv_layout(self, report):
-        condition = report.conditions[0]
-        lines = curve_csv(report, condition).strip().split("\n")
-        assert lines[0] == "t,mean_error,std_error,condition"
-        assert len(lines) == 12
-        mean, _ = report.curve(condition)
-        for row, t, m in zip(lines[1:], report.t_grid, mean):
-            cols = row.split(",")
-            assert cols[0] == f"{t:g}"
-            assert float(cols[1]) == m
-            assert cols[3] == condition
+    def test_curve_csv_layout(self, report, bundle, fitted_model):
+        # a t with more than 6 significant digits parses back exactly too
+        fine = interpolation_experiment(bundle, fitted_model, quiet_config(
+            iterations=5, t_grid=(0.0, 0.1234567, 0.5, 1.0)))
+        for rep in (report, fine):
+            condition = rep.conditions[0]
+            lines = curve_csv(rep, condition).strip().split("\n")
+            assert lines[0] == "t,mean_error,std_error,condition"
+            assert len(lines) == len(rep.t_grid) + 1
+            mean, _ = rep.curve(condition)
+            for row, t, m in zip(lines[1:], rep.t_grid, mean):
+                cols = row.split(",")
+                assert float(cols[0]) == t
+                assert float(cols[1]) == m
+                assert cols[3] == condition
 
 
 class TestExperimentArguments:
