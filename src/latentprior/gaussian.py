@@ -1,11 +1,13 @@
 """Gaussian model of the corrected latent distribution.
 
 The distribution of latents in the corrected space V is modeled as a single
-multivariate Gaussian with empirical mean and covariance. The model also
-keeps the eigendecomposition of the covariance (for principal-component
-work), a Cholesky factor L of the regularized covariance (for sampling),
-its inverse L^{-1} (for energies), and the empirical W-space mean
-(truncation blends toward it).
+multivariate Gaussian with empirical mean and covariance. A model is stored
+as its sufficient statistics: those two, the empirical W-space mean
+(truncation blends toward it) and the sample count. from_statistics derives
+the rest, for a fit and a load alike: the eigendecomposition of the
+covariance (for principal-component work), a Cholesky factor L of the
+regularized covariance (for sampling), and on first use its inverse L^{-1}
+(for energies).
 
 Energies and their gradients whiten by L^{-1}, computed once per model;
 the covariance itself is never inverted.
@@ -37,6 +39,9 @@ EPS_FLOOR = 1e-12
 @dataclass(frozen=True)
 class GaussianModel:
     """Fitted Gaussian over V-space latents.
+
+    model.json stores dim, mean_v, cov_v, mean_w and sample_count;
+    eigvecs, eigvals, chol and epsilon are derived from them.
 
     Attributes:
         dim: latent dimensionality d.
@@ -107,28 +112,33 @@ def fit_gaussian(samples_v, samples_w) -> GaussianModel:
             f"samples_v shape {np.shape(samples_v)} != samples_w shape {sw.shape}"
         )
     mean_v, cov = moments(samples_v)
-    n, d = sw.shape
+    return from_statistics(mean_v, cov, sw.mean(axis=0), sw.shape[0])
 
+
+def from_statistics(mean_v, cov, mean_w, sample_count: int) -> GaussianModel:
+    """The model of the sufficient statistics: its PC basis, epsilon and
+    Cholesky factor are derived here and nowhere else."""
+    d = len(mean_v)
     vals, vecs = np.linalg.eigh(cov)
     order = np.argsort(vals)[::-1]
     vals = np.clip(vals[order], 0.0, None)
     vecs = vecs[:, order]
     # Deterministic sign: largest-magnitude entry of each column positive.
     top = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(d)]
-    vecs = vecs * np.where(top < 0, -1.0, 1.0)
+    # C order: the last bits of to_pc depend on the basis's layout, and
+    # every projection output was recorded with a C-ordered one
+    vecs = np.ascontiguousarray(vecs * np.where(top < 0, -1.0, 1.0))
 
     eps = max(EPS_SCALE * float(np.trace(cov)) / d, EPS_FLOOR)
-    chol = np.linalg.cholesky(cov + eps * np.eye(d))
-
     return GaussianModel(
         dim=d,
         mean_v=mean_v,
         cov_v=cov,
         eigvecs=vecs,
         eigvals=vals,
-        chol=chol,
-        mean_w=sw.mean(axis=0),
-        sample_count=n,
+        chol=np.linalg.cholesky(cov + eps * np.eye(d)),
+        mean_w=mean_w,
+        sample_count=sample_count,
         epsilon=eps,
     )
 
@@ -228,21 +238,13 @@ def validate_model(model: GaussianModel) -> None:
 
 # --- serialization ---------------------------------------------------------
 #
-# json_text and csv_text write the JSON and CSV outputs: floats by repr,
-# and a NaN or an infinity raises NumericalFailure. The model and the
-# latents' JSON twin have their own writer: 17 significant digits, matrices
-# flat row-major.
+# json_text and csv_text write every JSON and CSV output: floats by repr,
+# and a NaN or an infinity raises NumericalFailure. model.json holds the
+# sufficient statistics only, cov_v flat row-major; the loader derives the
+# rest with from_statistics, as the fit does, and ignores other keys (older
+# files also hold eigvals, eigvecs and epsilon).
 
-_MODEL_KEYS = (
-    "dim", "sample_count", "mean_v", "mean_w", "cov_v",
-    "eigvals", "eigvecs", "epsilon",
-)
-
-
-def json_number(x: float) -> str:
-    """17-digit text of x; -0.0 keeps its point, since "-0" reads as int 0."""
-    text = format(float(x), ".17g")
-    return "-0.0" if text == "-0" else text
+_MODEL_KEYS = ("dim", "sample_count", "mean_v", "mean_w", "cov_v")
 
 
 def record_fields(record, skip=()) -> dict:
@@ -268,6 +270,14 @@ def json_text(doc) -> str:
     except ValueError as exc:  # "Out of range float values ...: nan"
         raise NumericalFailure("non-finite number in an output: "
                                + str(exc).rpartition(" ")[2]) from None
+
+
+def finite_output(arr: np.ndarray) -> np.ndarray:
+    """arr, for a binary output; a NaN or an infinity in it raises
+    NumericalFailure, as json_text and csv_text do."""
+    if not np.all(np.isfinite(arr)):
+        raise NumericalFailure("non-finite number in an output")
+    return arr
 
 
 def _csv_cell(value) -> str:
@@ -300,22 +310,9 @@ def json_array(values, shape, name: str) -> np.ndarray:
     return np.array(values, dtype=np.float64).reshape(shape)
 
 
-def _fmt_array(a: np.ndarray) -> str:
-    return "[" + ", ".join(json_number(x) for x in np.asarray(a).ravel()) + "]"
-
-
 def model_to_json(model: GaussianModel) -> str:
-    parts = [
-        f'"dim": {model.dim}',
-        f'"sample_count": {model.sample_count}',
-        f'"mean_v": {_fmt_array(model.mean_v)}',
-        f'"mean_w": {_fmt_array(model.mean_w)}',
-        f'"cov_v": {_fmt_array(model.cov_v)}',
-        f'"eigvals": {_fmt_array(model.eigvals)}',
-        f'"eigvecs": {_fmt_array(model.eigvecs)}',
-        f'"epsilon": {json_number(model.epsilon)}',
-    ]
-    return "{\n  " + ",\n  ".join(parts) + "\n}\n"
+    doc = {k: getattr(model, k) for k in _MODEL_KEYS}
+    return json_text({**doc, "cov_v": model.cov_v.ravel()})
 
 
 def model_from_json(text: str | bytes) -> GaussianModel:
@@ -330,35 +327,19 @@ def model_from_json(text: str | bytes) -> GaussianModel:
         raise InputFormatError(f"model JSON missing keys: {missing}")
     # np.linalg.LinAlgError (covariance not positive definite) is a ValueError
     try:
-        d, sample_count, eps = doc["dim"], doc["sample_count"], doc["epsilon"]
+        d, sample_count = doc["dim"], doc["sample_count"]
         if not (type(d) is int and d >= 1 and type(sample_count) is int
                 and sample_count >= 2):
             raise ValueError("dim must be an integer >= 1 and sample_count "
                              "an integer >= 2")
-        if type(eps) not in (int, float):
-            raise ValueError("epsilon must be a number")
-        mean_v, mean_w, eigvals = (json_array(doc[k], d, k)
-                                   for k in ("mean_v", "mean_w", "eigvals"))
-        cov_v, eigvecs = (json_array(doc[k], (d, d), k)
-                          for k in ("cov_v", "eigvecs"))
-        eps = float(eps)
-        if not all(np.all(np.isfinite(a))
-                   for a in (mean_v, mean_w, cov_v, eigvals, eigvecs, eps)):
+        mean_v, mean_w = (json_array(doc[k], d, k) for k in ("mean_v", "mean_w"))
+        cov_v = json_array(doc["cov_v"], (d, d), "cov_v")
+        if not all(np.all(np.isfinite(a)) for a in (mean_v, mean_w, cov_v)):
             raise ValueError("non-finite values")
         # values near the float limit overflow to inf or NaN, which fail
         # validate_model's checks; no warning reaches stderr
         with np.errstate(over="ignore", invalid="ignore"):
-            model = GaussianModel(
-                dim=d,
-                mean_v=mean_v,
-                cov_v=cov_v,
-                eigvecs=eigvecs,
-                eigvals=eigvals,
-                chol=np.linalg.cholesky(cov_v + eps * np.eye(d)),
-                mean_w=mean_w,
-                sample_count=sample_count,
-                epsilon=eps,
-            )
+            model = from_statistics(mean_v, cov_v, mean_w, sample_count)
             validate_model(model)
     except (ValueError, TypeError, OverflowError) as exc:
         raise InputFormatError(f"malformed model: {exc}") from exc

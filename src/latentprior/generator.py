@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputFormatError
-from .gaussian import json_text
+from .gaussian import finite_output, json_text
 from .seeding import STREAM_WEIGHTS, STREAM_Z, rng_from
 from .spaces import SLOPE_V_TO_W, lru, lru_deriv
 
@@ -459,8 +459,8 @@ def load_bundle(path) -> GeneratorBundle:
 
 
 def image_to_f64_bytes(image) -> bytes:
-    return np.ascontiguousarray(np.asarray(image, dtype=np.float64).ravel(),
-                                dtype="<f8").tobytes()
+    flat = finite_output(np.asarray(image, dtype=np.float64).ravel())
+    return np.ascontiguousarray(flat, dtype="<f8").tobytes()
 
 
 def image_from_f64_bytes(data: bytes, pixels: int | None = None) -> np.ndarray:

@@ -25,7 +25,8 @@ import struct
 import numpy as np
 
 from .errors import InputFormatError
-from .gaussian import GaussianModel, json_array, json_number, mahalanobis_sq_batch
+from .gaussian import (GaussianModel, finite_output, json_array, json_text,
+                       mahalanobis_sq_batch)
 
 # Negative slopes of the two inverse leaky ReLUs. 0.2 * 5.0 is not exactly 1
 # in binary floating point; round trips are exact to within 4 ulp.
@@ -126,7 +127,7 @@ def _finite(arr: np.ndarray) -> np.ndarray:
 
 
 def latents_to_bytes(latents) -> bytes:
-    arr = _as_rows(latents)
+    arr = finite_output(_as_rows(latents))
     rows, dim = arr.shape
     header = _MAGIC + struct.pack("<III", _VERSION, rows, dim)
     return header + np.ascontiguousarray(arr, dtype="<f8").tobytes()
@@ -150,8 +151,7 @@ def latents_from_bytes(data: bytes) -> np.ndarray:
 def latents_to_json(latents) -> str:
     arr = _as_rows(latents)
     rows, dim = arr.shape
-    values = ", ".join(json_number(x) for x in arr.ravel())
-    return f'{{"rows": {rows}, "dim": {dim}, "values": [{values}]}}\n'
+    return json_text({"rows": rows, "dim": dim, "values": arr.ravel()})
 
 
 def latents_from_json(text: str) -> np.ndarray:

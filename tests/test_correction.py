@@ -16,7 +16,7 @@ from latentprior.correction import (
     to_pc,
     truncate_rows,
 )
-from latentprior.gaussian import fit_gaussian, sample_latents
+from latentprior.gaussian import fit_gaussian, load_model, sample_latents, save_model
 from latentprior.spaces import v_to_w, w_to_v
 
 
@@ -96,6 +96,20 @@ class TestPcBasis:
             expected = np.zeros(model.dim)
             expected[i] = 2.5
             npt.assert_allclose(vp, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 4, 37, 64])
+    def test_a_saved_model_projects_as_the_fitted_one(self, tmp_path, n):
+        # a command fits a model in one process and loads it in another;
+        # the two must round the projection alike, bit for bit
+        rng = np.random.default_rng(8)
+        vs = rng.standard_normal((400, 32)) @ rng.standard_normal((32, 32))
+        fitted = fit_gaussian(vs, v_to_w(vs))
+        save_model(fitted, tmp_path / "model.json")
+        loaded = load_model(tmp_path / "model.json")
+        w = v_to_w(vs[:n] * 3.0)
+        for project in (lambda m: to_pc(m, w_to_v(w)),
+                        lambda m: compress_rows(m, w, 0.5)):
+            assert project(loaded).tobytes() == project(fitted).tobytes()
 
 
 class TestCompressValues:
