@@ -119,6 +119,10 @@ def from_statistics(mean_v, cov, mean_w, sample_count: int) -> GaussianModel:
     """The model of the sufficient statistics: its PC basis, epsilon and
     Cholesky factor are derived here and nowhere else."""
     d = len(mean_v)
+    trace = float(np.trace(cov))
+    if not math.isfinite(trace):
+        raise ValueError("cov_v overflows: its trace is not finite")
+    eps = max(EPS_SCALE * trace / d, EPS_FLOOR)
     vals, vecs = np.linalg.eigh(cov)
     order = np.argsort(vals)[::-1]
     vals = np.clip(vals[order], 0.0, None)
@@ -128,8 +132,6 @@ def from_statistics(mean_v, cov, mean_w, sample_count: int) -> GaussianModel:
     # C order: the last bits of to_pc depend on the basis's layout, and
     # every projection output was recorded with a C-ordered one
     vecs = np.ascontiguousarray(vecs * np.where(top < 0, -1.0, 1.0))
-
-    eps = max(EPS_SCALE * float(np.trace(cov)) / d, EPS_FLOOR)
     return GaussianModel(
         dim=d,
         mean_v=mean_v,
@@ -337,7 +339,8 @@ def model_from_json(text: str | bytes) -> GaussianModel:
         if not all(np.all(np.isfinite(a)) for a in (mean_v, mean_w, cov_v)):
             raise ValueError("non-finite values")
         # values near the float limit overflow to inf or NaN, which fail
-        # validate_model's checks; no warning reaches stderr
+        # from_statistics's trace check or validate_model's checks; no
+        # warning reaches stderr
         with np.errstate(over="ignore", invalid="ignore"):
             model = from_statistics(mean_v, cov_v, mean_w, sample_count)
             validate_model(model)

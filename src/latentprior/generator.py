@@ -7,10 +7,12 @@ Two stages, mirroring the usual style-based pipeline at desk scale:
   in G is spaces.lru with slope SLOPE_V_TO_W, the inverse of the V map's
   slope, so V (spaces.w_to_v of W) recovers the final pre-activation to
   within 4 ulp. map_latents runs M over near-equal row blocks of at least
-  MAP_BLOCK_ROWS rows (one block below twice that), so its memory does not
-  grow with the batch beyond the (n, d) input and output. On OpenBLAS such
-  blocks give the same bits as mapping the whole batch at once; batches of
-  37 rows or fewer round differently, which is why no block is short.
+  MAP_BLOCK_ROWS (512) rows, one block below twice that, through two
+  (block rows, hidden_dim) buffers that every layer and block reuse, so
+  its memory does not grow with the batch beyond the (n, d) input and
+  output. On OpenBLAS such blocks give the same bits as mapping the whole
+  batch at once; batches of 37 rows or fewer round differently, which is
+  why no block is short.
 * synthesis network G: starts from a learned constant feature map and runs
   one stage per scale. Each stage upsamples by 2 (except the first),
   modulates features with a per-channel scale and bias computed from that
@@ -69,10 +71,11 @@ NOISE_STD = 0.25
 # the reconstruction-loss scale relative to the latent prior so the default
 # prior weights sit in their useful range.
 OUT_GAIN = 0.5
-# Fewest rows in one block of the mapping forward pass. No block may be
-# short: on OpenBLAS, 37 rows or fewer round differently from the same rows
-# inside a larger product, while blocks this size give the whole batch's bits.
-MAP_BLOCK_ROWS = 4096
+# Fewest rows in one block of the mapping forward pass: one (512, 512)
+# float64 hidden block is 2 MiB, a core's L2. No block may be short: on
+# OpenBLAS, 37 rows or fewer round differently from the same rows inside a
+# larger product, while blocks this size give the whole batch's bits.
+MAP_BLOCK_ROWS = 512
 # Bytes of one full-resolution feature map in a block of synthesize_batch
 # (64 rows at default dims), so that a block's maps stay in a 2 MiB L2.
 # Any block size gives the same bits.
@@ -224,8 +227,13 @@ def _row_blocks(a: np.ndarray) -> list:
 def map_latents(bundle: GeneratorBundle, zs) -> np.ndarray:
     """Batched mapping-network forward pass: (n, d) -> (n, d) styles.
 
-    Runs over row blocks (see _row_blocks), so memory beyond the input and
-    the output stays two (block rows, hidden_dim) buffers at any n.
+    Runs over row blocks (see _row_blocks) through two (block rows,
+    hidden_dim) buffers, allocated once per call: each hidden layer writes
+    its product into one buffer, adds the bias and applies the activation
+    in place, and the next layer reads it and writes the other. The last
+    layer writes into the output. Memory beyond the input and the output
+    stays those buffers, about 2 MiB each at default dims, and the
+    activation's temporary of the same size, at any n.
     """
     a = np.asarray(zs, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != bundle.dims.latent_dim:
@@ -233,12 +241,18 @@ def map_latents(bundle: GeneratorBundle, zs) -> np.ndarray:
             f"expected (n, {bundle.dims.latent_dim}) inputs, got {a.shape}"
         )
     out = np.empty(a.shape)
-    for x, dst in zip(_row_blocks(a), _row_blocks(out)):
-        for w, b in zip(bundle.mapping.weights, bundle.mapping.biases):
-            x = x @ w.T  # drops the previous layer's block
-            x += b
-            lru(x, SLOPE_V_TO_W, out=x)
-        dst[...] = x
+    layers = list(zip(bundle.mapping.weights, bundle.mapping.biases))
+    blocks = _row_blocks(a)
+    bufs = [np.empty((len(blocks[0]), bundle.dims.hidden_dim)) for _ in range(2)]
+    for x, dst in zip(blocks, _row_blocks(out)):
+        for i, (w, b) in enumerate(layers):
+            # a row slice of a buffer or of out is contiguous, so np.matmul
+            # calls the BLAS kernel that x @ w.T does, with the same bits
+            y = bufs[i % 2][:len(x)] if i < len(layers) - 1 else dst
+            np.matmul(x, w.T, out=y)
+            y += b
+            lru(y, SLOPE_V_TO_W, out=y)
+            x = y
     return out
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import defaultdict
 from dataclasses import fields, replace
 from pathlib import Path
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import latentprior
-from latentprior import cli, evaluation
+from latentprior import cli, evaluation, generator
 from latentprior.cli import (
     _COMMANDS,
     _FIELDS,
@@ -114,6 +115,34 @@ class TestManifests:
         assert timing["duration_seconds"] >= 0
 
 
+class TestFitPriorMapping:
+    SAMPLES = 20000  # the benchmark's set-up fit
+
+    def test_model_keeps_its_bytes_at_4096_row_blocks(self, ws, tmp_path, monkeypatch):
+        args = ("fit-prior", "--bundle", ws["bundle"], "--samples", self.SAMPLES, "--out")
+        assert run(*args, tmp_path / "blocked") == 0
+        monkeypatch.setattr(generator, "MAP_BLOCK_ROWS", 4096)
+        assert run(*args, tmp_path / "wide") == 0
+        assert (tmp_path / "blocked" / "model.json").read_bytes() == \
+            (tmp_path / "wide" / "model.json").read_bytes()
+
+    def test_peak_allocation_stays_under_three_sample_arrays(self, ws, tmp_path):
+        bundle = load_bundle(ws["bundle"])
+        tracemalloc.start()
+        try:
+            cli._run_fit_prior({"samples": self.SAMPLES, "seed": 0},
+                               {"bundle": bundle}, tmp_path, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # at most three (n, d) arrays live at once (z and W while mapping;
+        # W, V and the V map's temporary; W, V and V centered), and the
+        # mapping adds its block buffers and the activation's temporary
+        d, hidden = bundle.dims.latent_dim, bundle.dims.hidden_dim
+        rows = len(generator._row_blocks(np.empty((self.SAMPLES, 0)))[0])
+        assert peak < 3 * self.SAMPLES * d * 8 + 4 * rows * hidden * 8
+
+
 class TestInvert:
     def test_small_inversion_outputs(self, ws):
         out = ws["root"] / "inv"
@@ -182,14 +211,10 @@ class TestExitCodes:
         lambda doc: {**doc, "dim": str(doc["dim"])},
         lambda doc: {**doc, "mean_v": [True] + doc["mean_v"][1:]},
         lambda doc: {**doc, "cov_v": doc["cov_v"][:-1] + ["0.5"]},
-        # well-formed arrays that break the model's invariants
-        lambda doc: {**doc, "cov_v": [1.7e308] * len(doc["cov_v"])},
-        lambda doc: {**doc, "cov_v": _moved_off_diagonal(doc)},
     ], ids=["cov-not-positive-definite", "dim", "sample-count",
             "not-an-object", "nan-mean", "infinite-sample-count",
             "infinite-dim", "fractional-sample-count", "negative-sample-count",
-            "dim-as-text", "boolean-mean", "covariance-as-text",
-            "overflowing-covariance", "asymmetric-covariance"])
+            "dim-as-text", "boolean-mean", "covariance-as-text"])
     def test_malformed_model_is_input_error(self, ws, tmp_path, capsys, corrupt):
         doc = corrupt(json.loads(ws["model"].read_text()))
         bad = tmp_path / "model.json"
@@ -200,6 +225,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 3
         assert err.startswith("input error: ") and err.count("\n") == 1
+
+    # well-formed arrays that break the model's invariants
+    @pytest.mark.parametrize("corrupt, cause", [
+        (lambda doc: {**doc, "cov_v": [1.7e308] * len(doc["cov_v"])},
+         "cov_v overflows: its trace is not finite"),
+        (lambda doc: {**doc, "cov_v": _moved_off_diagonal(doc)},
+         "eigendecomposition does not reconstruct cov_v"),
+    ], ids=["overflowing-covariance", "asymmetric-covariance"])
+    def test_broken_model_invariant_names_its_cause(self, ws, tmp_path, capsys,
+                                                   corrupt, cause):
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(corrupt(json.loads(ws["model"].read_text()))))
+        capsys.readouterr()
+        rc = run("correct", "--model", bad, "--latents", ws["latents"],
+                 "--out", tmp_path / "o")
+        assert rc == 3
+        assert capsys.readouterr().err == f"input error: malformed model: {cause}\n"
 
     @pytest.mark.parametrize("corrupt", [
         lambda doc: {**doc, "seed": float("inf")},
