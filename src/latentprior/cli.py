@@ -3,17 +3,18 @@
 Subcommands: init-gan, fit-prior, invert, correct, and
 experiment {interpolation, fid-tradeoff, pc-profile, lambda-sweep}.
 
-Every command writes its artifacts plus a manifest.json into --out. The
-manifest holds the command name, the fully resolved configuration, the
-input paths, and the output file names; it contains no timestamps or
-thread counts, so re-running a command from its manifest (replay_manifest)
-reproduces every output byte for byte at any --threads value. Wall-clock
-duration goes to a separate timing.json. A --config JSON file may supply
-any subset of a command's settings, with explicit flags taking precedence.
-Flags, --config and a replayed manifest are checked by one resolver, the
-runners get their input files already loaded and checked to fit, and one
-helper (_settings) builds each command's config dataclass from its
-resolved settings.
+Every command writes its artifacts plus a manifest.json into --out. A
+runner returns its files' contents, and _execute forms the manifest before
+it writes any file, so a failed run writes none. The manifest holds the
+command name, the fully resolved configuration, the input paths, and the
+output file names; it contains no timestamps or thread counts, so
+re-running a command from its manifest (replay_manifest) reproduces every
+output byte for byte at any --threads value. Wall-clock duration goes to a
+separate timing.json. A --config JSON file may supply any subset of a
+command's settings, with explicit flags taking precedence. Flags, --config
+and a replayed manifest are checked by one resolver, the runners get their
+input files already loaded and checked to fit, and one helper (_settings)
+builds each command's config dataclass from its resolved settings.
 
 Exit codes: 0 success, 2 bad arguments (a setting too large for memory
 included), 3 input-format error, 4 numerical failure (a non-finite number
@@ -23,7 +24,6 @@ bound for an output included).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -57,16 +57,20 @@ from .evaluation import (
     tail_probability,
     tradeoff_to_json,
 )
-from .gaussian import fit_gaussian, json_text, load_model, sample_latents, save_model
+from .formats import (image_from_f64_bytes, image_to_f64_bytes, json_object,
+                      json_text, latents_to_bytes, ppm_bytes, read, read_latents,
+                      write)
+# not called here: the benchmark's tracer (perfbench/spans.py) wraps them
+# under these names, and tests/test_benchmark_names.py pins them
+from .formats import write_latents  # noqa: F401
+from .gaussian import fit_gaussian, load_model, model_to_json, sample_latents
+from .gaussian import save_model  # noqa: F401
 from .generator import (
     GeneratorDims,
+    bundle_from_json,
+    bundle_to_json,
     init_generator,
-    load_bundle,
-    read_image_f64,
     sample_styles,
-    save_bundle,
-    write_image_f64,
-    write_ppm,
 )
 from .inversion import (
     LOSS_PIXEL,
@@ -79,7 +83,7 @@ from .inversion import (
     result_to_json,
 )
 from .seeding import STREAM_FIT, STREAM_SAMPLES, rng_from
-from .spaces import read_latents, v_to_w, w_to_v, write_latents
+from .spaces import v_to_w, w_to_v
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -112,7 +116,7 @@ class Flag:
 class Command:
     name: str
     flags: tuple[Flag, ...]
-    runner: object  # fn(config, loaded inputs, out: Path, threads) -> (outputs, derived)
+    runner: object  # fn(config, loaded inputs, threads) -> ({name: str | bytes}, derived)
     required_inputs: tuple[str, ...] = ()
     optional_inputs: tuple[str, ...] = ()
     help: str = ""
@@ -176,18 +180,6 @@ def _parse_value(flag: Flag, value):
     return value
 
 
-def _read_object(path, what: str) -> dict:
-    """The JSON object a settings file holds."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise InputFormatError(f"invalid {what} JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InputFormatError(f"{what} file must hold a JSON object")
-    return doc
-
-
 def _resolve(cmd: Command, given: dict, doc: dict):
     """Merge given flag values over a settings document over the defaults."""
     names = cmd.required_inputs + cmd.optional_inputs
@@ -209,13 +201,17 @@ def _resolve(cmd: Command, given: dict, doc: dict):
 
 def _load(inputs: dict) -> dict:
     """Read each input file by its name and check once that they fit together."""
-    readers = {"bundle": load_bundle, "target-bundle": load_bundle,
+    def read_bundle(path):
+        return bundle_from_json(read(path))
+
+    readers = {"bundle": read_bundle, "target-bundle": read_bundle,
                "model": load_model, "latents": read_latents}
     loaded = {name: readers[name](path) for name, path in inputs.items()
               if name != "target"}
     bundle, model = loaded.get("bundle"), loaded.get("model")
     if "target" in inputs:
-        loaded["target"] = read_image_f64(inputs["target"], bundle.dims.pixels)
+        loaded["target"] = image_from_f64_bytes(read(inputs["target"]),
+                                                bundle.dims.pixels)
     if bundle is not None and model is not None \
             and model.dim != bundle.dims.latent_dim:
         raise InputFormatError(
@@ -237,32 +233,22 @@ def _execute(cmd: Command, config: dict, inputs: dict, out: Path,
     if threads < 1:
         raise UsageError(f"--threads must be >= 1, got {threads}")
     start = time.perf_counter()
-    loaded = _load(inputs)
-    made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
+    files, derived = cmd.runner(config, _load(inputs), threads)
+    # formed before any file is written, so a non-finite derived value
+    # fails the run like any error and leaves no file or directory
+    manifest = json_text({"command": cmd.name, "version": __version__,
+                          "config": config, "inputs": inputs,
+                          "outputs": list(files), "derived": derived})
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        outputs, derived = cmd.runner(config, loaded, out, threads)
-        # formed here, so a non-finite derived value fails the run like any error
-        manifest = json_text({"command": cmd.name, "version": __version__,
-                              "config": config, "inputs": inputs,
-                              "outputs": list(outputs), "derived": derived})
-    except BaseException:
-        # a failed run leaves no directory it made, unless something was
-        # written into it; rmdir removes only empty directories
-        for d in made:
-            try:
-                d.rmdir()
-            except OSError:
-                break
-        raise
-    (out / MANIFEST_NAME).write_text(manifest)
-    (out / TIMING_NAME).write_text(json_text(
+    for name, data in {**files, MANIFEST_NAME: manifest}.items():
+        write(out / name, data)
+    write(out / TIMING_NAME, json_text(
         {"command": cmd.name, "duration_seconds": time.perf_counter() - start}))
 
 
 def replay_manifest(manifest_path, out_dir, threads: int = 1) -> None:
     """Re-execute the command a manifest records, writing into ``out_dir``."""
-    doc = _read_object(manifest_path, "manifest")
+    doc = json_object(read(manifest_path), "manifest")
     for key in ("command", "config", "inputs"):
         if key not in doc:
             raise InputFormatError(f"manifest is missing the {key!r} field")
@@ -309,90 +295,83 @@ def _settings(cls, config: dict, **given):
     return cls(**given)
 
 
-def _run_init_gan(config, inputs, out: Path, threads):
+def _run_init_gan(config, inputs, threads):
     bundle = init_generator(config["seed"], _settings(GeneratorDims, config))
-    save_bundle(bundle, out / "bundle.json")
-    return ["bundle.json"], {}
+    return {"bundle.json": bundle_to_json(bundle)}, {}
 
 
-def _run_fit_prior(config, inputs, out: Path, threads):
+def _run_fit_prior(config, inputs, threads):
     n = config["samples"]
     if n < 2:
         raise UsageError(f"--samples must be >= 2 to fit a covariance, got {n}")
     ws = sample_styles(inputs["bundle"], rng_from(config["seed"], STREAM_FIT), n)
-    model = fit_gaussian(w_to_v(ws), ws)
-    save_model(model, out / "model.json")
-    return ["model.json"], {}
+    return {"model.json": model_to_json(fit_gaussian(w_to_v(ws), ws))}, {}
 
 
-def _run_invert(config, inputs, out: Path, threads):
+def _run_invert(config, inputs, threads):
     bundle = inputs["bundle"]
     cfg = _settings(InversionConfig, config, noise_ramp=_settings(NoiseRamp, config))
     result = invert(inputs["target"], bundle, inputs["model"], cfg)
-    (out / "result.json").write_text(result_to_json(result, cfg))
-    write_latents(out / "latent.lat", result.latent.reshape(-1, bundle.dims.latent_dim))
-    write_image_f64(out / "recon.f64", result.final_image)
-    write_ppm(out / "recon.ppm", result.final_image, bundle.dims.image_shape)
-    return (["result.json", "latent.lat", "recon.f64", "recon.ppm"],
+    image = result.final_image
+    return ({"result.json": result_to_json(result, cfg),
+             "latent.lat": latents_to_bytes(
+                 result.latent.reshape(-1, bundle.dims.latent_dim)),
+             "recon.f64": image_to_f64_bytes(image),
+             "recon.ppm": ppm_bytes(image, bundle.dims.image_shape)},
             {"final_image_error": result.final_image_error})
 
 
-def _run_correct(config, inputs, out: Path, threads):
+def _run_correct(config, inputs, threads):
     model, rows = inputs["model"], inputs["latents"]
     cfg = _settings(CorrectionConfig, config)
-    write_latents(out / "latents.lat", correct_rows(model, rows, cfg))
+    files = {"latents.lat": latents_to_bytes(correct_rows(model, rows, cfg))}
     derived = {"rows": int(rows.shape[0])}
     if cfg.method == METHOD_COMPRESS:
         derived["threshold"] = compression_threshold(model, cfg.tau)
-    return ["latents.lat"], derived
+    return files, derived
 
 
-def _write_report(out: Path, name: str, report) -> list:
-    """The report and one curve CSV per condition; returns their file names."""
-    texts = {name: report_to_json(report)}
-    texts.update((condition_filename(c), curve_csv(report, c)) for c in report.conditions)
-    for file_name, text in texts.items():
-        (out / file_name).write_text(text)
-    return list(texts)
+def _report_files(name: str, report) -> dict:
+    """The report and one curve CSV per condition, by file name."""
+    return {name: report_to_json(report),
+            **{condition_filename(c): curve_csv(report, c) for c in report.conditions}}
 
 
-def _run_interpolation(config, inputs, out: Path, threads):
+def _run_interpolation(config, inputs, threads):
     report = interpolation_experiment(inputs["bundle"], inputs["model"],
                                       _settings(InterpolationConfig, config),
                                       target_bundle=inputs.get("target-bundle"))
-    return _write_report(out, "report.json", report), {}
+    return _report_files("report.json", report), {}
 
 
-def _run_lambda_sweep(config, inputs, out: Path, threads):
+def _run_lambda_sweep(config, inputs, threads):
     base = _settings(InterpolationConfig, config)
     reports = lambda_sweep(inputs["bundle"], inputs["model"], base,
                            base.prior_weights)
-    outputs = []
+    files = {}
     for lam, report in reports.items():
-        outputs += _write_report(out, f"report_lambda-{lam:g}.json", report)
+        files.update(_report_files(f"report_lambda-{lam:g}.json", report))
     summary = {space: {"endpoint": [r.endpoint_error(condition_label(space, lam))
                                     for lam, r in reports.items()],
                        "midpoint": [r.midpoint_error(condition_label(space, lam))
                                     for lam, r in reports.items()]}
                for space in base.spaces}
-    (out / "sweep.json").write_text(json_text(
+    files["sweep.json"] = json_text(
         {"kind": "lambda-sweep", "grid": base.prior_weights, "spaces": base.spaces,
-         "summary": summary}))
-    outputs.append("sweep.json")
-    return outputs, {}
+         "summary": summary})
+    return files, {}
 
 
-def _run_fid_tradeoff(config, inputs, out: Path, threads):
+def _run_fid_tradeoff(config, inputs, threads):
     report = fid_tradeoff(inputs["bundle"], inputs["model"],
                           _settings(TradeoffConfig, config), threads=threads)
-    (out / "tradeoff.json").write_text(tradeoff_to_json(report))
-    (out / "points.csv").write_text(points_csv(report))
-    return (["tradeoff.json", "points.csv"],
+    return ({"tradeoff.json": tradeoff_to_json(report),
+             "points.csv": points_csv(report)},
             {"fid_uncorrected": report.fid_uncorrected,
              "all_matched": all(p.matched for p in report.points)})
 
 
-def _run_pc_profile(config, inputs, out: Path, threads):
+def _run_pc_profile(config, inputs, threads):
     model = inputs["model"]
     ws = inputs.get("latents")
     if ws is None:
@@ -401,9 +380,8 @@ def _run_pc_profile(config, inputs, out: Path, threads):
     k = config["k"] if config["k"] is not None else min(30, model.dim)
     config["k"] = k
     profile = pc_magnitude_profile(ws, model, k, config["tau"])
-    (out / "profile.json").write_text(profile_to_json(profile))
-    (out / "profile.csv").write_text(profile_csv(profile))
-    return (["profile.json", "profile.csv"],
+    return ({"profile.json": profile_to_json(profile),
+             "profile.csv": profile_csv(profile)},
             {"flagged_fraction": profile.flagged_fraction,
              "tail_probability_analytic": tail_probability(model, config["tau"])})
 
@@ -608,7 +586,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cmd = _COMMANDS[args.command_key]
     try:
-        doc = _read_object(args.config, "config") if args.config else {}
+        doc = json_object(read(args.config), "config") if args.config else {}
         config, inputs = _resolve(cmd, vars(args), doc)
         _execute(cmd, config, inputs, Path(args.out), args.threads)
     except InputFormatError as exc:

@@ -32,8 +32,8 @@ import numpy as np
 from .correction import compress_rows, compression_threshold, truncate_rows, w_to_pc
 from .errors import NumericalFailure
 from .features import embed, init_feature_net
-from .gaussian import (GaussianModel, csv_text, frechet_distance, json_text,
-                       moments, record_fields)
+from .formats import csv_text, json_text, record_fields
+from .gaussian import GaussianModel, frechet_distance, moments
 # not called here: perfbench wraps evaluation.fit_gaussian (name pinned in tests)
 from .gaussian import fit_gaussian  # noqa: F401
 from .generator import (

@@ -15,18 +15,21 @@ the covariance itself is never inverted.
 A Gaussian is its sufficient statistics: moments() gives the (mean, cov)
 pair that fit_gaussian fits from, and frechet_distance compares two such
 pairs, so a Frechet feature distance needs no model.
+
+model_to_json and model_from_json turn a model into model.json's text and
+back; the JSON itself, and every file, is written and read by formats.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import InputFormatError, NumericalFailure
+from .errors import InputFormatError
+from .formats import json_array, json_object, json_text, read, write
 from .seeding import STREAM_SAMPLES, rng_from
 
 # Relative regularization added to the covariance diagonal before the
@@ -240,76 +243,11 @@ def validate_model(model: GaussianModel) -> None:
 
 # --- serialization ---------------------------------------------------------
 #
-# json_text and csv_text write every JSON and CSV output: floats by repr,
-# and a NaN or an infinity raises NumericalFailure. model.json holds the
-# sufficient statistics only, cov_v flat row-major; the loader derives the
-# rest with from_statistics, as the fit does, and ignores other keys (older
-# files also hold eigvals, eigvecs and epsilon).
+# model.json holds the sufficient statistics only, cov_v flat row-major; the
+# loader derives the rest with from_statistics, as the fit does, and ignores
+# other keys (older files also hold eigvals, eigvecs and epsilon).
 
 _MODEL_KEYS = ("dim", "sample_count", "mean_v", "mean_w", "cov_v")
-
-
-def record_fields(record, skip=()) -> dict:
-    """A dataclass's fields by name, in declaration order, values as held."""
-    return {f.name: getattr(record, f.name) for f in fields(record)
-            if f.name not in skip}
-
-
-def _plain(obj):
-    """json.dumps's hook: an ndarray or a numpy scalar as .tolist() gives it,
-    a dataclass as its fields; anything else raises TypeError."""
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
-    return record_fields(obj)
-
-
-def json_text(doc) -> str:
-    """doc as JSON, indented by 2 with sorted keys and a final newline;
-    dataclasses and numpy values may nest anywhere in it."""
-    try:
-        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False,
-                          default=_plain) + "\n"
-    except ValueError as exc:  # "Out of range float values ...: nan"
-        raise NumericalFailure("non-finite number in an output: "
-                               + str(exc).rpartition(" ")[2]) from None
-
-
-def finite_output(arr: np.ndarray) -> np.ndarray:
-    """arr, for a binary output; a NaN or an infinity in it raises
-    NumericalFailure, as json_text and csv_text do."""
-    if not np.all(np.isfinite(arr)):
-        raise NumericalFailure("non-finite number in an output")
-    return arr
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, int, np.bool_, np.integer)):
-        return str(int(value))  # a bool as 0/1
-    number = float(value)
-    if not math.isfinite(number):
-        raise NumericalFailure(f"non-finite number in an output: {number}")
-    return repr(number)
-
-
-def csv_text(header, rows) -> str:
-    """A header line and one line per row, comma-separated; strings are
-    written as given."""
-    lines = [",".join(header)] + [",".join(map(_csv_cell, row)) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def json_array(values, shape, name: str) -> np.ndarray:
-    """A flat JSON list of numbers as a float64 array of the given shape.
-
-    Only JSON numbers count: a bool or a string raises ValueError, where
-    np.array would convert it.
-    """
-    if not (isinstance(values, list)
-            and all(type(v) in (int, float) for v in values)):
-        raise ValueError(f"{name} must be a flat list of JSON numbers")
-    return np.array(values, dtype=np.float64).reshape(shape)
 
 
 def model_to_json(model: GaussianModel) -> str:
@@ -317,13 +255,8 @@ def model_to_json(model: GaussianModel) -> str:
     return json_text({**doc, "cov_v": model.cov_v.ravel()})
 
 
-def model_from_json(text: str | bytes) -> GaussianModel:
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise InputFormatError(f"invalid model JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InputFormatError("model JSON must hold an object")
+def model_from_json(data: str | bytes) -> GaussianModel:
+    doc = json_object(data, "model")
     missing = [k for k in _MODEL_KEYS if k not in doc]
     if missing:
         raise InputFormatError(f"model JSON missing keys: {missing}")
@@ -350,10 +283,8 @@ def model_from_json(text: str | bytes) -> GaussianModel:
 
 
 def save_model(model: GaussianModel, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(model_to_json(model))
+    write(path, model_to_json(model))
 
 
 def load_model(path) -> GaussianModel:
-    with open(path, "rb") as fh:  # decoded by json.loads, inside its try
-        return model_from_json(fh.read())
+    return model_from_json(read(path))

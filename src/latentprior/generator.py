@@ -38,27 +38,32 @@ Two stages, mirroring the usual style-based pipeline at desk scale:
   any n. The block size never changes a bit.
 
 Everything is regenerated bit-exactly from (seed, dims); weights are never
-serialized. All evaluation is batched over (n, s, d) style stacks:
-synthesize_batch runs the forward pass, and synthesize_vjp_batch runs that
-same pass once, evaluates a caller's row-wise loss on the images it made,
-and pulls the loss gradient back through the cached pass, so one
-optimization step costs one forward and one backward pass. The backward
-mirrors the forward's order: the adjoint of each 2x upsample is a 2x2
-sum-pool, so it pools the cotangent once per scale and does the mixer
-transpose, the style gradients and the scale product at the lower
-resolution. That sums in another order than pooling last, so its bits
-differ from the full-resolution backward's in the last places.
+serialized. bundle_to_json and bundle_from_json turn a bundle into
+bundle.json's text, (seed, dims), and back; the image formats, and every
+file read and write, live in formats. All evaluation is batched over
+(n, s, d) style stacks: synthesize_batch runs the forward pass, and
+synthesize_vjp_batch runs that same pass once, evaluates a caller's
+row-wise loss on the images it made, and pulls the loss gradient back
+through the cached pass, so one optimization step costs one forward and
+one backward pass. The backward mirrors the forward's order: the adjoint
+of each 2x upsample is a 2x2 sum-pool, so it pools the cotangent once per
+scale and does the mixer transpose, the style gradients and the scale
+product at the lower resolution. That sums in another order than pooling
+last, so its bits differ from the full-resolution backward's in the last
+places.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputFormatError
-from .gaussian import finite_output, json_text
+from .formats import json_object, json_text
+# not used here: the benchmark's cli workload imports it from this module,
+# and tests/test_benchmark_names.py pins that name
+from .formats import write_image_f64  # noqa: F401
 from .seeding import STREAM_WEIGHTS, STREAM_Z, rng_from
 from .spaces import SLOPE_V_TO_W, lru, lru_deriv
 
@@ -438,9 +443,9 @@ def bundle_to_json(bundle: GeneratorBundle) -> str:
     return json_text({"seed": bundle.seed, "dims": bundle.dims})
 
 
-def bundle_from_json(text: str | bytes) -> GeneratorBundle:
+def bundle_from_json(data: str | bytes) -> GeneratorBundle:
+    doc = json_object(data, "bundle")
     try:
-        doc = json.loads(text)
         seed, fields = doc["seed"], doc["dims"]
         if not (type(seed) is int and seed >= 0):
             raise ValueError("seed must be a non-negative integer")
@@ -450,68 +455,6 @@ def bundle_from_json(text: str | bytes) -> GeneratorBundle:
         if fields.keys() != DIM_LIMITS.keys():
             raise ValueError(f"dims must hold exactly {sorted(DIM_LIMITS)}")
         dims = GeneratorDims(**fields)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"invalid bundle JSON: {exc}") from exc
     return init_generator(seed, dims)
-
-
-def save_bundle(bundle: GeneratorBundle, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(bundle_to_json(bundle))
-
-
-def load_bundle(path) -> GeneratorBundle:
-    with open(path, "rb") as fh:  # decoded by json.loads, inside its try
-        return bundle_from_json(fh.read())
-
-
-# --- image files ------------------------------------------------------------
-#
-# Exact pipelines use raw little-endian float64 (no header); PPM (P6, 8-bit)
-# is for eyeballing, with values mapped affinely from the image's own
-# [min, max] range.
-
-
-def image_to_f64_bytes(image) -> bytes:
-    flat = finite_output(np.asarray(image, dtype=np.float64).ravel())
-    return np.ascontiguousarray(flat, dtype="<f8").tobytes()
-
-
-def image_from_f64_bytes(data: bytes, pixels: int | None = None) -> np.ndarray:
-    if len(data) % 8 != 0:
-        raise InputFormatError("raw image length is not a multiple of 8")
-    flat = np.frombuffer(data, dtype="<f8").astype(np.float64)
-    if pixels is not None and flat.size != pixels:
-        raise InputFormatError(
-            f"raw image has {flat.size} values, expected {pixels}"
-        )
-    if not np.all(np.isfinite(flat)):
-        raise InputFormatError("raw image holds non-finite values")
-    return flat
-
-
-def write_image_f64(path, image) -> None:
-    with open(path, "wb") as fh:
-        fh.write(image_to_f64_bytes(image))
-
-
-def read_image_f64(path, pixels: int | None = None) -> np.ndarray:
-    with open(path, "rb") as fh:
-        return image_from_f64_bytes(fh.read(), pixels)
-
-
-def ppm_bytes(image, shape: tuple[int, int, int]) -> bytes:
-    img = np.asarray(image, dtype=np.float64).reshape(shape)
-    lo, hi = float(img.min()), float(img.max())
-    if hi > lo:
-        scaled = (img - lo) / (hi - lo) * 255.0
-    else:
-        scaled = np.zeros_like(img)
-    data = np.clip(np.rint(scaled), 0, 255).astype(np.uint8)
-    header = f"P6\n{shape[1]} {shape[0]}\n255\n".encode("ascii")
-    return header + data.tobytes()
-
-
-def write_ppm(path, image, shape: tuple[int, int, int]) -> None:
-    with open(path, "wb") as fh:
-        fh.write(ppm_bytes(image, shape))

@@ -31,8 +31,8 @@ import numpy as np
 
 from . import features
 from .errors import NumericalFailure
-from .gaussian import (GaussianModel, json_text, mahalanobis_sq_and_grad_batch,
-                       record_fields)
+from .formats import json_text, record_fields
+from .gaussian import GaussianModel, mahalanobis_sq_and_grad_batch
 # not called here: the benchmark's tracer (perfbench/spans.py) wraps them
 # under these names, and tests/test_benchmark_names.py pins them
 from .gaussian import (mahalanobis_sq_batch, mahalanobis_sq_grad_batch,  # noqa: F401

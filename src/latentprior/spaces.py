@@ -14,19 +14,15 @@ Latents are plain float64 numpy arrays: shape (d,) for a single style,
 (s, d) for a stack; inversion's (r, d) latent rows (r = 1 for W, s for W+)
 become a stack by lift_rows. The prior energy over W+ is block-diagonal
 (identical Gaussian per scale), so it is evaluated row-wise and summed
-rather than by materializing the s*d x s*d Kronecker matrix.
+rather than by materializing the s*d x s*d Kronecker matrix. Latent rows
+are stored in the .lat container, or its JSON twin, of formats.
 """
 
 from __future__ import annotations
 
-import json
-import struct
-
 import numpy as np
 
-from .errors import InputFormatError
-from .gaussian import (GaussianModel, finite_output, json_array, json_text,
-                       mahalanobis_sq_batch)
+from .gaussian import GaussianModel, mahalanobis_sq_batch
 
 # Negative slopes of the two inverse leaky ReLUs. 0.2 * 5.0 is not exactly 1
 # in binary floating point; round trips are exact to within 4 ulp.
@@ -98,92 +94,3 @@ def mahalanobis_sq_plus(model: GaussianModel, stack) -> float:
     if arr.ndim != 2 or arr.shape[1] != model.dim:
         raise ValueError(f"expected shape (s, {model.dim}), got {arr.shape}")
     return float(np.sum(mahalanobis_sq_batch(model, w_to_v(arr))))
-
-
-# --- latent container format ----------------------------------------------
-#
-# Binary: 16-byte header (magic "LATV", version u32, rows u32, dim u32, all
-# little-endian) followed by rows*dim little-endian float64, row-major. The
-# rows axis holds the scales of a W+ stack or the entries of a batch of
-# single styles, depending on context. A JSON twin exists for inspection.
-
-_MAGIC = b"LATV"
-_VERSION = 1
-
-
-def _as_rows(latents) -> np.ndarray:
-    arr = np.asarray(latents, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.ndim != 2:
-        raise ValueError(f"latents must be (d,) or (rows, d), got {arr.shape}")
-    return arr
-
-
-def _finite(arr: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise InputFormatError("latent container holds non-finite values")
-    return arr
-
-
-def latents_to_bytes(latents) -> bytes:
-    arr = finite_output(_as_rows(latents))
-    rows, dim = arr.shape
-    header = _MAGIC + struct.pack("<III", _VERSION, rows, dim)
-    return header + np.ascontiguousarray(arr, dtype="<f8").tobytes()
-
-
-def latents_from_bytes(data: bytes) -> np.ndarray:
-    if len(data) < 16 or data[:4] != _MAGIC:
-        raise InputFormatError("not a latent container (bad magic)")
-    version, rows, dim = struct.unpack("<III", data[4:16])
-    if version != _VERSION:
-        raise InputFormatError(f"unsupported latent container version {version}")
-    expected = 16 + rows * dim * 8
-    if len(data) != expected:
-        raise InputFormatError(
-            f"latent container size {len(data)} != expected {expected}"
-        )
-    flat = np.frombuffer(data, dtype="<f8", offset=16)
-    return _finite(flat.astype(np.float64).reshape(rows, dim))
-
-
-def latents_to_json(latents) -> str:
-    arr = _as_rows(latents)
-    rows, dim = arr.shape
-    return json_text({"rows": rows, "dim": dim, "values": arr.ravel()})
-
-
-def latents_from_json(text: str) -> np.ndarray:
-    try:
-        doc = json.loads(text)
-        rows, dim = doc["rows"], doc["dim"]
-        if not all(type(n) is int and n >= 0 for n in (rows, dim)):
-            raise ValueError("rows and dim must be non-negative integers")
-        arr = json_array(doc["values"], (rows, dim), "values")
-    except (json.JSONDecodeError, KeyError, ValueError, TypeError,
-            OverflowError) as exc:
-        raise InputFormatError(f"invalid latent JSON: {exc}") from exc
-    return _finite(arr)
-
-
-def write_latents(path, latents) -> None:
-    """Write a latent container; '.json' paths get the JSON twin."""
-    if str(path).endswith(".json"):
-        with open(path, "w") as fh:
-            fh.write(latents_to_json(latents))
-    else:
-        with open(path, "wb") as fh:
-            fh.write(latents_to_bytes(latents))
-
-
-def read_latents(path) -> np.ndarray:
-    """Read a latent container, sniffing binary vs JSON. Returns (rows, d)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] == _MAGIC:
-        return latents_from_bytes(data)
-    try:
-        return latents_from_json(data.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise InputFormatError("not a latent container") from exc

@@ -31,6 +31,7 @@ from latentprior.evaluation import (
     lambda_sweep,
 )
 from latentprior.errors import NumericalFailure
+from latentprior.formats import write_image_f64
 from latentprior.gaussian import fit_gaussian, frechet_distance, moments, sample_latents
 from latentprior.generator import (
     init_generator,
@@ -40,7 +41,6 @@ from latentprior.generator import (
     sample_z,
     synthesize,
     synthesize_batch,
-    write_image_f64,
 )
 from latentprior.inversion import (
     SPACE_W,

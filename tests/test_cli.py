@@ -24,15 +24,11 @@ from latentprior.cli import (
     replay_manifest,
 )
 from latentprior.errors import InputFormatError
+from latentprior.formats import (latents_to_bytes, read, read_latents,
+                                 write_image_f64, write_latents)
 from latentprior.gaussian import load_model
-from latentprior.generator import (
-    load_bundle,
-    sample_styles,
-    synthesize,
-    write_image_f64,
-)
-from latentprior.spaces import (broadcast_style, latents_to_bytes, read_latents,
-                                write_latents)
+from latentprior.generator import bundle_from_json, sample_styles, synthesize
+from latentprior.spaces import broadcast_style
 
 
 def run(*args) -> int:
@@ -71,7 +67,7 @@ def ws(tmp_path_factory):
                "--out", root / "prior") == 0
     model_path = root / "prior" / "model.json"
 
-    bundle = load_bundle(bundle_path)
+    bundle = bundle_from_json(read(bundle_path))
     style = sample_styles(bundle, 99, 1)[0]
     image = synthesize(bundle, broadcast_style(style, bundle.dims.scales))
     target_path = root / "target.f64"
@@ -126,12 +122,12 @@ class TestFitPriorMapping:
         assert (tmp_path / "blocked" / "model.json").read_bytes() == \
             (tmp_path / "wide" / "model.json").read_bytes()
 
-    def test_peak_allocation_stays_under_three_sample_arrays(self, ws, tmp_path):
-        bundle = load_bundle(ws["bundle"])
+    def test_peak_allocation_stays_under_three_sample_arrays(self, ws):
+        bundle = bundle_from_json(read(ws["bundle"]))
         tracemalloc.start()
         try:
             cli._run_fit_prior({"samples": self.SAMPLES, "seed": 0},
-                               {"bundle": bundle}, tmp_path, 1)
+                               {"bundle": bundle}, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -834,7 +830,7 @@ class TestThreads:
             raise PoolStarted
 
         monkeypatch.setattr(evaluation, "ThreadPoolExecutor", no_pool)
-        bundle, model = load_bundle(ws["bundle"]), load_model(ws["model"])
+        bundle, model = bundle_from_json(read(ws["bundle"])), load_model(ws["model"])
         config = evaluation.InterpolationConfig(
             spaces=("w", "wplus"), prior_weights=(0.0, 1e-4), n_images=3,
             n_pairs=2, iterations=2)
@@ -954,7 +950,7 @@ class TestSettingsMap:
 
     @pytest.mark.parametrize("command", list(_COMMANDS))
     def test_every_flag_sets_a_field_of_a_config_its_runner_builds(
-            self, monkeypatch, tmp_path, command):
+            self, monkeypatch, command):
         built, settings = [], cli._settings
 
         def spy(cls, config, **given):
@@ -965,7 +961,7 @@ class TestSettingsMap:
         cmd = _COMMANDS[command]
         config, _ = _resolve(cmd, {}, dict.fromkeys(cmd.required_inputs, "path"))
         try:  # with no inputs loaded, a runner fails after building its configs
-            cmd.runner(config, defaultdict(lambda: None), tmp_path, 1)
+            cmd.runner(config, defaultdict(lambda: None), 1)
         except AttributeError:
             pass
         names = {f.name for cls in built for f in fields(cls)}

@@ -4,7 +4,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 import pytest
 
-from latentprior import gaussian
+from latentprior import formats, gaussian
 from latentprior.errors import InputFormatError, NumericalFailure
 from latentprior.inversion import InversionConfig
 
@@ -306,48 +306,48 @@ class _Outer:
 
 class TestWriters:
     def test_json_numpy_scalars_are_python_values(self):
-        text = gaussian.json_text({"b": np.bool_(True), "i": np.int64(3),
+        text = formats.json_text({"b": np.bool_(True), "i": np.int64(3),
                                    "f": np.float64(0.1), "z": -0.0})
         assert text == '{\n  "b": true,\n  "f": 0.1,\n  "i": 3,\n  "z": -0.0\n}\n'
 
     def test_json_ndarray_nests_as_lists(self):
         arr = np.array([[1.0, -0.0], [2.5, 1e-310]])
-        assert json.loads(gaussian.json_text({"a": arr}))["a"] == arr.tolist()
-        assert gaussian.json_text(np.arange(2)) == "[\n  0,\n  1\n]\n"
+        assert json.loads(formats.json_text({"a": arr}))["a"] == arr.tolist()
+        assert formats.json_text(np.arange(2)) == "[\n  0,\n  1\n]\n"
 
     def test_json_dataclass_is_its_fields_nested(self):
         rec = _Outer("x", _Inner(np.bool_(False), np.array([0.5, 2.0])), ((1, 0.25),))
-        assert json.loads(gaussian.json_text(rec)) == {
+        assert json.loads(formats.json_text(rec)) == {
             "name": "x", "inner": {"flag": False, "values": [0.5, 2.0]},
             "pairs": [[1, 0.25]]}
         # same text as the asdict route the writers took before
         cfg = InversionConfig(learning_rate=0.3)
-        assert gaussian.json_text({"config": cfg}) == json.dumps(
+        assert formats.json_text({"config": cfg}) == json.dumps(
             {"config": asdict(cfg)}, indent=2, sort_keys=True) + "\n"
 
     def test_json_refuses_other_objects(self):
         with pytest.raises(TypeError, match="dataclass"):
-            gaussian.json_text({"s": {1, 2}})
+            formats.json_text({"s": {1, 2}})
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -np.inf,
                                      np.float64("nan"), np.array([1.0, np.nan]),
                                      _Inner(np.bool_(True), np.array([np.inf]))])
     def test_json_non_finite_is_numerical_failure(self, bad):
         with pytest.raises(NumericalFailure, match="non-finite") as info:
-            gaussian.json_text({"ok": 1.0, "deep": [{"bad": bad}]})
+            formats.json_text({"ok": 1.0, "deep": [{"bad": bad}]})
         assert "\n" not in str(info.value)
 
     def test_csv_cells(self):
-        text = gaussian.csv_text(
+        text = formats.csv_text(
             ("s", "b", "nb", "i", "ni", "f", "nf", "z"),
             [("w:lambda=0", True, np.bool_(False), 7, np.int64(-2), 0.1,
               np.float64(2.5e-300), -0.0)])
         assert text == "s,b,nb,i,ni,f,nf,z\nw:lambda=0,1,0,7,-2,0.1,2.5e-300,-0.0\n"
 
     def test_csv_with_no_rows_is_its_header(self):
-        assert gaussian.csv_text(["a", "b"], []) == "a,b\n"
+        assert formats.csv_text(["a", "b"], []) == "a,b\n"
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float64(-np.inf)])
     def test_csv_non_finite_is_numerical_failure(self, bad):
         with pytest.raises(NumericalFailure, match="non-finite"):
-            gaussian.csv_text(["a", "b"], [(1.0, 2.0), (3.0, bad)])
+            formats.csv_text(["a", "b"], [(1.0, 2.0), (3.0, bad)])

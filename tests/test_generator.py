@@ -5,7 +5,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from latentprior import generator
+from latentprior import formats, generator
 from latentprior.errors import InputFormatError
 from latentprior.generator import (DIM_LIMITS, MAP_BLOCK_ROWS, SYNTH_BLOCK_BYTES,
                                    GeneratorDims)
@@ -520,8 +520,8 @@ class TestBundleSerialization:
 
     def test_file_round_trip(self, bundle, tmp_path):
         path = tmp_path / "bundle.json"
-        generator.save_bundle(bundle, path)
-        back = generator.load_bundle(path)
+        formats.write(path, generator.bundle_to_json(bundle))
+        back = generator.bundle_from_json(formats.read(path))
         assert back.seed == bundle.seed and back.dims == bundle.dims
 
     def test_bad_json_rejected(self):
@@ -557,23 +557,24 @@ class TestImageFiles:
     def test_f64_round_trip(self, tmp_path, rng):
         img = rng.standard_normal(48)
         path = tmp_path / "img.f64"
-        generator.write_image_f64(path, img)
-        assert np.array_equal(generator.read_image_f64(path, 48), img)
+        formats.write_image_f64(path, img)
+        back = formats.image_from_f64_bytes(formats.read(path), 48)
+        assert np.array_equal(back, img)
 
     def test_f64_length_check(self, tmp_path, rng):
         path = tmp_path / "img.f64"
-        generator.write_image_f64(path, rng.standard_normal(48))
+        formats.write_image_f64(path, rng.standard_normal(48))
         with pytest.raises(InputFormatError):
-            generator.read_image_f64(path, 47)
+            formats.image_from_f64_bytes(formats.read(path), 47)
         with open(path, "ab") as fh:
             fh.write(b"xyz")
         with pytest.raises(InputFormatError):
-            generator.read_image_f64(path)
+            formats.image_from_f64_bytes(formats.read(path))
 
     def test_ppm_header_and_scaling(self):
         img = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0,
                         0.5, 0.5, 0.5, 0.25, 0.25, 0.25])
-        data = generator.ppm_bytes(img, (2, 2, 3))
+        data = formats.ppm_bytes(img, (2, 2, 3))
         header, rest = data.split(b"\n", 1)
         assert header == b"P6"
         dims_line, rest = rest.split(b"\n", 1)
@@ -587,6 +588,6 @@ class TestImageFiles:
         assert list(values[6:9]) == [128, 128, 128]
 
     def test_ppm_constant_image(self):
-        data = generator.ppm_bytes(np.ones(12), (2, 2, 3))
+        data = formats.ppm_bytes(np.ones(12), (2, 2, 3))
         values = np.frombuffer(data.split(b"\n255\n", 1)[1], dtype=np.uint8)
         assert np.all(values == 0)

@@ -1,0 +1,55 @@
+"""formats.py is the package's one module of file formats.
+
+gaussian, generator and spaces hold numerics only, so they import neither
+json nor struct. formats imports no package module but errors, so any
+module can import it without a cycle: generator re-exports write_image_f64
+from it for the benchmark's workloads.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "latentprior"
+
+
+def _imports(name: str) -> tuple[set, set]:
+    """(modules from outside the package, package modules) a module imports."""
+    outside, inside = set(), set()
+    for node in ast.walk(ast.parse((SRC / f"{name}.py").read_text())):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "latentprior." * bool(node.level) + (node.module or "")
+            if base.rstrip(".") == "latentprior":  # "from . import x"
+                modules = [f"latentprior.{alias.name}" for alias in node.names]
+            else:
+                modules = [base]
+        else:
+            continue
+        for module in modules:
+            top, _, rest = module.partition(".")
+            if top == "latentprior":
+                inside.add(rest.partition(".")[0])
+            else:
+                outside.add(top)
+    return outside, inside
+
+
+@pytest.mark.parametrize("name", ["gaussian", "generator", "spaces"])
+def test_numeric_modules_import_no_serializer(name):
+    outside, _ = _imports(name)
+    assert not outside & {"json", "struct"}, f"{name}.py imports {outside}"
+
+
+def test_formats_imports_only_errors_from_the_package():
+    _, inside = _imports("formats")
+    assert inside == {"errors"}
+
+
+def test_the_import_reader_sees_every_form_of_import():
+    # guards the parse: "import math", "from .formats import ..." and
+    # "from . import features"
+    outside, inside = _imports("inversion")
+    assert "math" in outside and {"formats", "features"} <= inside

@@ -1,36 +1,45 @@
-"""Property tests of the latents, raw-image, model and bundle readers.
+"""Property tests of the file formats and their readers.
 
 Finite arrays round-trip through the `.lat` container and its JSON twin,
 models and bundles through their JSON files, and whatever bytes or text a
 reader is given, the only exception it raises is InputFormatError (exit
 code 3 at the command line). An array element that is not a JSON number
 (a bool, a string, null, a list or an object) is refused, never converted.
+Every JSON input reads the same with or without a UTF-8 BOM, and a command
+that fails writes no file.
 """
 
+import codecs
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from latentprior import cli
 from latentprior.errors import InputFormatError, NumericalFailure
+from latentprior.formats import (
+    image_from_f64_bytes,
+    image_to_f64_bytes,
+    json_object,
+    json_text,
+    latents_from_bytes,
+    latents_from_json,
+    latents_to_bytes,
+    latents_to_json,
+    ppm_bytes,
+    write_latents,
+)
 from latentprior.gaussian import fit_gaussian, model_from_json, model_to_json
 from latentprior.generator import (
     GeneratorDims,
     bundle_from_json,
     bundle_to_json,
-    image_from_f64_bytes,
-    image_to_f64_bytes,
     init_generator,
-)
-from latentprior.spaces import (
-    latents_from_bytes,
-    latents_from_json,
-    latents_to_bytes,
-    latents_to_json,
 )
 
 # same examples on every run, nothing written to disk
@@ -209,6 +218,15 @@ def test_image_from_f64_bytes_raises_only_input_format_error(data, pixels):
     _only_input_format_error(image_from_f64_bytes, data, pixels)
 
 
+@properties
+@given(any_bytes | any_text.map(str.encode)
+       | st.binary(max_size=16).map(codecs.BOM_UTF8.__add__))
+@example(b"[" * 100000)  # nesting past the recursion limit
+@example(b"1" * 5000)  # an integer past int()'s digit limit
+def test_json_object_raises_only_input_format_error(data):
+    _only_input_format_error(json_object, data, "any")
+
+
 @pytest.mark.parametrize("rows", ["1e400", "-1", "2.0", "true", '"2"'])
 def test_rows_must_be_a_nonnegative_json_integer(rows):
     # -1 would pass reshape as a wildcard; 1e400 parses to inf
@@ -225,3 +243,93 @@ def test_non_finite_raw_image_rejected(bad):
         image_to_f64_bytes(image)
     with pytest.raises(InputFormatError, match="non-finite"):
         image_from_f64_bytes(image.astype("<f8").tobytes(), 6)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ppm_refuses_a_non_finite_image(bad):
+    image = np.zeros(12)
+    image[7] = bad
+    with pytest.raises(NumericalFailure, match="non-finite"):
+        ppm_bytes(image, (2, 2, 3))
+
+
+@properties
+@given(st.integers(1, 4), st.integers(1, 4), st.floats(-1e300, 1e300), st.data())
+def test_ppm_is_a_p6_header_and_three_bytes_a_pixel(h, w, value, data):
+    constant = data.draw(st.booleans())
+    image = np.full(h * w * 3, value) if constant else data.draw(
+        arrays(np.float64, h * w * 3, elements=st.floats(-1e300, 1e300)))
+    out = ppm_bytes(image, (h, w, 3))
+    header = f"P6\n{w} {h}\n255\n".encode("ascii")
+    assert out[:len(header)] == header
+    assert len(out) == len(header) + 3 * h * w
+    pixels = np.frombuffer(out[len(header):], dtype=np.uint8)
+    if image.min() == image.max():  # a constant image maps to zeros
+        assert not pixels.any()
+    else:  # otherwise its range maps onto [0, 255]
+        assert (pixels.min(), pixels.max()) == (0, 255)
+
+
+@pytest.fixture(scope="module")
+def json_inputs(tmp_path_factory):
+    """A small generator, model, latents twin and config, each as a file."""
+    root = tmp_path_factory.mktemp("json-inputs")
+    assert cli.main(["init-gan", "--latent-dim", "4", "--hidden-dim", "8",
+                     "--scales", "2", "--channels", "2", "--image-size", "4",
+                     "--out", str(root / "gan")]) == 0
+    assert cli.main(["fit-prior", "--bundle", str(root / "gan" / "bundle.json"),
+                     "--samples", "50", "--out", str(root / "prior")]) == 0
+    write_latents(root / "latents.json", np.arange(8.0).reshape(2, 4) / 8)
+    (root / "config.json").write_text('{"samples": 40, "seed": 2}')
+    return root
+
+
+def _fit_with_config(root, path, out):
+    assert cli.main(["fit-prior", "--bundle", str(root / "gan" / "bundle.json"),
+                     "--config", str(path), "--out", str(out)]) == 0
+    return (out / "model.json").read_bytes()
+
+
+def _replay(root, path, out):
+    cli.replay_manifest(path, out)
+    return (out / "model.json").read_bytes()
+
+
+def _loaded(name, to_text):
+    """What a command loads from the input file ``name``, as text or bytes."""
+    def read_as(root, path, out):
+        model = {"model": root / "prior" / "model.json"}  # latents need one
+        return to_text(cli._load({**model, name: path})[name])
+    return read_as
+
+
+# input -> (its file under json_inputs, what the package reads from it)
+_JSON_INPUTS = {
+    "bundle": ("gan/bundle.json", _loaded("bundle", bundle_to_json)),
+    "model": ("prior/model.json", _loaded("model", model_to_json)),
+    "latents": ("latents.json", _loaded("latents", np.ndarray.tobytes)),
+    "config": ("config.json", _fit_with_config),
+    "manifest": ("prior/manifest.json", _replay),
+}
+
+
+@pytest.mark.parametrize("name", list(_JSON_INPUTS))
+def test_every_json_input_reads_the_same_with_a_bom(json_inputs, tmp_path, name):
+    file_name, read_as = _JSON_INPUTS[name]
+    path = json_inputs / file_name
+    bom = tmp_path / "bom.json"
+    bom.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    assert read_as(json_inputs, bom, tmp_path / "bom") == \
+        read_as(json_inputs, path, tmp_path / "plain")
+
+
+def test_a_run_failing_after_forming_its_files_writes_nothing(
+        tmp_path, monkeypatch, capsys):
+    def runner(config, inputs, threads):
+        return ({"a.json": json_text({"a": 1.0}), "b.lat": latents_to_bytes([[1.0]])},
+                {"bad": math.nan})
+    monkeypatch.setitem(cli._COMMANDS, "init-gan",
+                        replace(cli._COMMANDS["init-gan"], runner=runner))
+    assert cli.main(["init-gan", "--out", str(tmp_path / "new" / "o")]) == 4
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+    assert list(tmp_path.iterdir()) == []

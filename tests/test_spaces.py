@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from latentprior import spaces
+from latentprior import formats, spaces
 from latentprior.errors import InputFormatError
 from latentprior.gaussian import fit_gaussian
 
@@ -105,60 +105,60 @@ class TestStackEnergy:
 class TestLatentContainers:
     def test_binary_round_trip(self, rng):
         arr = rng.standard_normal((7, 16))
-        back = spaces.latents_from_bytes(spaces.latents_to_bytes(arr))
+        back = formats.latents_from_bytes(formats.latents_to_bytes(arr))
         assert np.array_equal(back, arr)
 
     def test_single_latent_becomes_row(self, rng):
         arr = rng.standard_normal(9)
-        back = spaces.latents_from_bytes(spaces.latents_to_bytes(arr))
+        back = formats.latents_from_bytes(formats.latents_to_bytes(arr))
         assert back.shape == (1, 9)
         assert np.array_equal(back[0], arr)
 
     def test_json_round_trip_exact(self, rng):
         arr = rng.standard_normal((3, 5)) * 1e-7
-        back = spaces.latents_from_json(spaces.latents_to_json(arr))
+        back = formats.latents_from_json(formats.latents_to_json(arr))
         assert np.array_equal(back, arr)
 
     def test_bad_magic_rejected(self):
         with pytest.raises(InputFormatError):
-            spaces.latents_from_bytes(b"NOPE" + b"\0" * 20)
+            formats.latents_from_bytes(b"NOPE" + b"\0" * 20)
 
     def test_truncated_payload_rejected(self, rng):
-        data = spaces.latents_to_bytes(rng.standard_normal((2, 4)))
+        data = formats.latents_to_bytes(rng.standard_normal((2, 4)))
         with pytest.raises(InputFormatError):
-            spaces.latents_from_bytes(data[:-8])
+            formats.latents_from_bytes(data[:-8])
 
     def test_bad_json_rejected(self):
         with pytest.raises(InputFormatError):
-            spaces.latents_from_json('{"rows": 2}')
+            formats.latents_from_json('{"rows": 2}')
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_values_rejected(self, rng, bad):
         arr = rng.standard_normal((2, 4))
         arr[1, 2] = bad
         # the writer refuses arr, so the header comes from a finite twin
-        data = (spaces.latents_to_bytes(np.zeros_like(arr))[:16]
+        data = (formats.latents_to_bytes(np.zeros_like(arr))[:16]
                 + arr.astype("<f8").tobytes())
         with pytest.raises(InputFormatError, match="non-finite"):
-            spaces.latents_from_bytes(data)
+            formats.latents_from_bytes(data)
         # json.dumps writes NaN and Infinity, which json.loads reads back
         text = json.dumps({"rows": 2, "dim": 4, "values": arr.ravel().tolist()})
         with pytest.raises(InputFormatError, match="non-finite"):
-            spaces.latents_from_json(text)
+            formats.latents_from_json(text)
 
     def test_file_round_trip_both_formats(self, tmp_path, rng):
         arr = rng.standard_normal((4, 6))
         for name in ("latents.lat", "latents.json"):
             path = tmp_path / name
-            spaces.write_latents(path, arr)
-            assert np.array_equal(spaces.read_latents(path), arr)
+            formats.write_latents(path, arr)
+            assert np.array_equal(formats.read_latents(path), arr)
 
 
 def test_infinity_survives_json():
     # the containers are for finite latents, but a finite extreme must
     # survive.
     arr = np.array([[1e308, -1e308]])
-    back = spaces.latents_from_json(spaces.latents_to_json(arr))
+    back = formats.latents_from_json(formats.latents_to_json(arr))
     assert np.array_equal(back, arr)
 
 
