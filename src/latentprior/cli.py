@@ -27,7 +27,7 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -44,7 +44,6 @@ from .evaluation import (
     InterpolationConfig,
     TradeoffConfig,
     condition_filename,
-    condition_label,
     curve_csv,
     fid_tradeoff,
     interpolation_experiment,
@@ -54,6 +53,7 @@ from .evaluation import (
     profile_csv,
     profile_to_json,
     report_to_json,
+    sweep_to_json,
     tail_probability,
     tradeoff_to_json,
 )
@@ -345,20 +345,12 @@ def _run_interpolation(config, inputs, threads):
 
 
 def _run_lambda_sweep(config, inputs, threads):
-    base = _settings(InterpolationConfig, config)
-    reports = lambda_sweep(inputs["bundle"], inputs["model"], base,
-                           base.prior_weights)
+    reports = lambda_sweep(inputs["bundle"], inputs["model"],
+                           _settings(InterpolationConfig, config))
     files = {}
     for lam, report in reports.items():
         files.update(_report_files(f"report_lambda-{lam:g}.json", report))
-    summary = {space: {"endpoint": [r.endpoint_error(condition_label(space, lam))
-                                    for lam, r in reports.items()],
-                       "midpoint": [r.midpoint_error(condition_label(space, lam))
-                                    for lam, r in reports.items()]}
-               for space in base.spaces}
-    files["sweep.json"] = json_text(
-        {"kind": "lambda-sweep", "grid": base.prior_weights, "spaces": base.spaces,
-         "summary": summary})
+    files["sweep.json"] = sweep_to_json(reports)
     return files, {}
 
 
@@ -455,8 +447,6 @@ _register(Command(
 
 _INTERP_FLAGS = (
     _SEED,
-    Flag("spaces", "strs", InterpolationConfig.spaces,
-         choices=(SPACE_W, SPACE_WPLUS), help="comma-separated list"),
     Flag("images", "int", InterpolationConfig.n_images, help="target pool size"),
     Flag("pairs", "int", InterpolationConfig.n_pairs),
     Flag("iters", "int", InterpolationConfig.iterations,
@@ -467,10 +457,13 @@ _INTERP_FLAGS = (
     Flag("oracle-init", "bool", InterpolationConfig.oracle_init,
          help="start each inversion at the true latent"),
 )
+_SPACES = Flag("spaces", "strs", InterpolationConfig.spaces,
+               choices=(SPACE_W, SPACE_WPLUS), help="comma-separated list")
 
 _register(Command(
     name="experiment interpolation",
     flags=_INTERP_FLAGS + (
+        _SPACES,
         Flag("lambdas", "floats", InterpolationConfig.prior_weights,
              help="prior weights to compare"),
     ),
@@ -482,9 +475,8 @@ _register(Command(
 
 _register(Command(
     name="experiment lambda-sweep",
-    flags=tuple(f for f in _INTERP_FLAGS if f.name != "spaces") + (
-        Flag("spaces", "strs", [SPACE_WPLUS], choices=(SPACE_W, SPACE_WPLUS),
-             help="comma-separated list"),
+    flags=_INTERP_FLAGS + (
+        replace(_SPACES, default=[SPACE_WPLUS]),
         Flag("grid", "floats", DEFAULT_LAMBDA_GRID, help="comma-separated list"),
     ),
     required_inputs=("bundle", "model"),

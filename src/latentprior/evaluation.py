@@ -5,8 +5,8 @@ Four experiments, all deterministic given a seed:
 - interpolation_experiment: invert a pool of generated targets with and
   without the prior, then compare images synthesized along interpolations
   of the estimated latents against the ground-truth interpolations.
-- lambda_sweep: one interpolation experiment over a grid of prior weights,
-  split into one report per weight.
+- lambda_sweep: the interpolation experiment split into one report per
+  prior weight, which sweep_to_json summarizes.
 - fid_tradeoff: match truncation and compression operating points by a
   Frechet feature distance, then compare identity preservation and
   per-pixel diversity at the matched points.
@@ -29,7 +29,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .correction import compress_rows, compression_threshold, truncate_rows, w_to_pc
+from .correction import (CorrectionConfig, compress_rows, compression_threshold,
+                         truncate_rows, w_to_pc)
 from .errors import NumericalFailure
 from .features import embed, init_feature_net
 from .formats import csv_text, json_text, record_fields
@@ -49,7 +50,7 @@ from .inversion import (
     SPACE_WPLUS,
     InversionConfig,
     NoiseRamp,
-    invert,  # not called here: perfbench wraps evaluation.invert (name pinned in tests)
+    invert,  # noqa: F401  perfbench wraps evaluation.invert (name pinned in tests)
     invert_batch,
     latent_shape,
     reconstruction_loss,
@@ -350,23 +351,19 @@ def interpolation_experiment(bundle: GeneratorBundle, model: GaussianModel,
 
 
 def lambda_sweep(bundle: GeneratorBundle, model: GaussianModel,
-                 config: InterpolationConfig,
-                 lambda_grid=DEFAULT_LAMBDA_GRID) -> dict[float, ExperimentReport]:
-    """The interpolation experiment over a grid of prior weights.
+                 config: InterpolationConfig) -> dict[float, ExperimentReport]:
+    """The interpolation experiment, split into one report per prior weight.
 
-    One experiment runs the whole grid, so the weights share one target
-    pool and one set of true interpolations. Its records are split into one
-    report per weight, equal to that of a single-weight experiment (config
-    included).
+    One experiment runs every weight, so all share one target pool and one
+    set of true interpolations; each weight's report, keyed by the weight in
+    grid order, equals a single-weight experiment's (config included).
     """
-    grid = tuple(float(lam) for lam in lambda_grid)
-    full = interpolation_experiment(bundle, model,
-                                    replace(config, prior_weights=grid))
+    full = interpolation_experiment(bundle, model, config)
     return {lam: ExperimentReport(
         t_grid=full.t_grid,
         records={c: rec for c, rec in full.records.items() if rec.prior_weight == lam},
         config=asdict(replace(config, prior_weights=(lam,))),
-    ) for lam in grid}
+    ) for lam in config.prior_weights}
 
 
 # --- feature-space metrics --------------------------------------------------
@@ -407,7 +404,7 @@ class MagnitudeProfile:
 
 
 def pc_magnitude_profile(latents_w, model: GaussianModel, k: int,
-                         tau: float = 0.5) -> MagnitudeProfile:
+                         tau: float = CorrectionConfig.tau) -> MagnitudeProfile:
     """Per-dimension |v^p| statistics of a W batch, split by tail flag.
 
     A sample is tail-flagged iff any of its principal-component
@@ -637,6 +634,18 @@ def report_to_json(report: ExperimentReport) -> str:
         } for c in report.conditions},
         "records": report.records,
     })
+
+
+def sweep_to_json(reports: dict[float, ExperimentReport]) -> str:
+    """The grid, the spaces and each space's endpoint and midpoint errors."""
+    summary = {}
+    for report in reports.values():
+        for c, rec in report.records.items():
+            errors = summary.setdefault(rec.space, {"endpoint": [], "midpoint": []})
+            errors["endpoint"].append(report.endpoint_error(c))
+            errors["midpoint"].append(report.midpoint_error(c))
+    return json_text({"kind": "lambda-sweep", "grid": list(reports),
+                      "spaces": list(summary), "summary": summary})
 
 
 def curve_csv(report: ExperimentReport, condition: str) -> str:

@@ -225,10 +225,12 @@ def write_image_f64(path, image) -> None:
 def ppm_bytes(image, shape: tuple[int, int, int]) -> bytes:
     img = finite_output(np.asarray(image, dtype=np.float64)).reshape(shape)
     lo, hi = float(img.min()), float(img.max())
-    if hi > lo:
-        scaled = (img - lo) / (hi - lo) * 255.0
-    else:
+    if hi == lo:
         scaled = np.zeros_like(img)
+    elif math.isfinite(hi - lo):
+        scaled = (img - lo) / (hi - lo) * 255.0
+    else:  # a range past the float maximum: scale by halves
+        scaled = (img / 2 - lo / 2) / (hi / 2 - lo / 2) * 255.0
     data = np.clip(np.rint(scaled), 0, 255).astype(np.uint8)
     header = f"P6\n{shape[1]} {shape[0]}\n255\n".encode("ascii")
     return header + data.tobytes()

@@ -183,9 +183,8 @@ class AdamState:
         return cls(np.zeros(shape), np.zeros(shape), 0)
 
 
-def adam_step(state: AdamState, gradient, lr: float, beta1: float,
-              beta2: float, eps: float):
-    """One bias-corrected ADAM update of state, in place.
+def adam_step(state: AdamState, gradient, lr: float):
+    """One bias-corrected ADAM update of state in place, by the ADAM_* constants.
 
     Returns (state, parameter delta). The moments take the bits of
     beta * moment + (1 - beta) * ..., without a new array per step.
@@ -195,13 +194,13 @@ def adam_step(state: AdamState, gradient, lr: float, beta1: float,
         raise ValueError(f"gradient shape {g.shape} != state shape {state.m.shape}")
     state.t += 1
     m, v, t = state.m, state.v, state.t
-    m *= beta1
-    m += (1 - beta1) * g
-    v *= beta2
-    v += (1 - beta2) * g * g
-    m_hat = m / (1 - beta1 ** t)
-    v_hat = v / (1 - beta2 ** t)
-    delta = -lr * m_hat / (np.sqrt(v_hat) + eps)
+    m *= ADAM_BETA1
+    m += (1 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1 - ADAM_BETA2) * g * g
+    m_hat = m / (1 - ADAM_BETA1 ** t)
+    v_hat = v / (1 - ADAM_BETA2 ** t)
+    delta = -lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return state, delta
 
 
@@ -340,7 +339,7 @@ def invert_batch(targets, bundle: GeneratorBundle, model: GaussianModel,
         alive = diverged_at < 0
         if not alive.any():
             break
-        state, delta = adam_step(state, grad, lr, ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
+        state, delta = adam_step(state, grad, lr)
         rows = rows + np.where(alive[:, None, None], delta, 0.0)
 
     final_images = synthesize_batch(bundle, lift_rows(rows, bundle.dims.scales))

@@ -283,9 +283,10 @@ def test_criterion_08_compression_beats_truncation_at_matched_fid(bundle, model)
 
 def test_criterion_09_weight_sweep_trends(bundle, model):
     start = time.perf_counter()
-    config = InterpolationConfig(spaces=(SPACE_WPLUS,), prior_weights=(0.0,),
+    config = InterpolationConfig(spaces=(SPACE_WPLUS,),
+                                 prior_weights=DEFAULT_LAMBDA_GRID,
                                  n_images=20, n_pairs=40, seed=0)
-    reports = lambda_sweep(bundle, model, config, DEFAULT_LAMBDA_GRID)
+    reports = lambda_sweep(bundle, model, config)
     ends, mids = [], []
     for lam in DEFAULT_LAMBDA_GRID:
         label = condition_label(SPACE_WPLUS, lam)

@@ -731,18 +731,39 @@ class TestExperimentCommands:
         assert sorted(record) == sorted(f.name for f in fields(evaluation.ConditionRecord))
 
     def test_lambda_sweep_outputs(self, ws, tmp_path):
+        grid = [0.1, 0.0, 0.001]  # unsorted, so grid order is not sorted order
         out = tmp_path / "sweep"
         rc = run("experiment", "lambda-sweep", "--bundle", ws["bundle"],
-                 "--model", ws["model"], "--spaces", "w", "--grid", "0,0.0001",
-                 "--images", 2, "--pairs", 1, "--iters", 2,
-                 "--learning-rate", 0.0, "--out", out)
+                 "--model", ws["model"], "--spaces", "w,wplus",
+                 "--grid", ",".join(map(str, grid)), "--images", 2, "--pairs", 1,
+                 "--iters", 5, "--out", out)
         assert rc == 0
-        doc = manifest_of(out)
-        for name in doc["outputs"]:
-            assert (out / name).is_file()
+        reports = [f"report_lambda-{lam:g}.json" for lam in grid]
+        assert manifest_of(out)["outputs"] == [
+            name for lam, report in zip(grid, reports)
+            for name in (report, f"curve_w_lambda-{lam:g}.csv",
+                         f"curve_wplus_lambda-{lam:g}.csv")] + ["sweep.json"]
+        # sweep.json restates each per-weight report's summary, in grid order
         sweep = json.loads((out / "sweep.json").read_text())
-        assert sweep["grid"] == [0.0, 0.0001]
-        assert len(sweep["summary"]["w"]["endpoint"]) == 2
+        assert (sweep["grid"], sweep["spaces"]) == (grid, ["w", "wplus"])
+        summaries = [json.loads((out / name).read_text())["summary"]
+                     for name in reports]
+        for space in ("w", "wplus"):
+            for kind in ("endpoint", "midpoint"):
+                assert sweep["summary"][space][kind] == [
+                    summary[f"{space}:lambda={lam:g}"][f"{kind}_error"]
+                    for lam, summary in zip(grid, summaries)]
+            # the weights' errors differ, so a list out of grid order would show
+            assert len(set(sweep["summary"][space]["endpoint"])) == len(grid)
+
+    def test_the_interpolation_commands_differ_in_weights_and_spaces_default(self):
+        interp = {f.name: f for f in _COMMANDS["experiment interpolation"].flags}
+        sweep = {f.name: f for f in _COMMANDS["experiment lambda-sweep"].flags}
+        del interp["lambdas"], sweep["grid"]
+        assert _FIELDS["lambdas"] == _FIELDS["grid"] == "prior_weights"
+        assert sweep.pop("spaces") == replace(interp.pop("spaces"),
+                                              default=["wplus"])
+        assert sweep == interp
 
     def test_fid_tradeoff_parses_comma_lists(self, ws, tmp_path):
         out = tmp_path / "tradeoff"

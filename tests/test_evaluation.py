@@ -84,6 +84,8 @@ class TestConfigValidation:
         {"t_grid": (0.0, 1.0)},            # midpoint missing
         {"t_grid": (0.0, 0.5, 1.0, 1.5)},  # outside [0, 1]
         {"prior_weights": (1e-5, 1.000001e-5)},  # one condition label
+        {"prior_weights": (0.0, 0.0)},           # one condition label
+        {"prior_weights": (0.0, -0.0)},  # -0.0 equals 0.0, labelled apart
         {"iterations": 0},
         {"learning_rate": -0.01},
     ])
@@ -277,8 +279,7 @@ class TestExperimentArguments:
 class TestLambdaSweep:
     def test_single_weight_equals_plain_experiment(self, bundle, fitted_model):
         grid = (0.0, 1e-4)
-        sweep = lambda_sweep(bundle, fitted_model, quiet_config(),
-                             lambda_grid=grid)
+        sweep = lambda_sweep(bundle, fitted_model, quiet_config(prior_weights=grid))
         assert list(sweep) == list(grid)
         for lam in grid:
             plain = interpolation_experiment(
@@ -286,26 +287,11 @@ class TestLambdaSweep:
             assert report_to_json(sweep[lam]) == report_to_json(plain)
 
     def test_one_condition_per_weight(self, bundle, fitted_model):
-        cfg = quiet_config(n_images=2, n_pairs=1, iterations=20)
-        sweep = lambda_sweep(bundle, fitted_model, cfg,
-                             lambda_grid=(0.0, 1e-4))
+        cfg = quiet_config(n_images=2, n_pairs=1, iterations=20,
+                           prior_weights=(0.0, 1e-4))
+        sweep = lambda_sweep(bundle, fitted_model, cfg)
         assert list(sweep) == [0.0, 1e-4]
         assert sweep[1e-4].conditions == ("w:lambda=0.0001",)
-
-    def test_grid_validation(self, bundle, fitted_model):
-        with pytest.raises(ValueError, match="nonempty"):
-            lambda_sweep(bundle, fitted_model, quiet_config(), lambda_grid=())
-        with pytest.raises(ValueError, match="nonnegative"):
-            lambda_sweep(bundle, fitted_model, quiet_config(),
-                         lambda_grid=(-1e-4,))
-        # repeated weights, and distinct ones that print alike, would share
-        # a condition label
-        for grid in ((1e-5, 1.000001e-5), (0.0, 0.0)):
-            with pytest.raises(ValueError, match="labels"):
-                lambda_sweep(bundle, fitted_model, quiet_config(), lambda_grid=grid)
-        # -0.0 equals 0.0 but would be labelled apart
-        with pytest.raises(ValueError, match="nonnegative"):
-            lambda_sweep(bundle, fitted_model, quiet_config(), lambda_grid=(0.0, -0.0))
 
 
 @pytest.fixture(scope="module")

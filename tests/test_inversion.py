@@ -13,9 +13,6 @@ from latentprior.gaussian import (fit_gaussian, mahalanobis_sq_batch,
                                   mahalanobis_sq_grad_batch, sample_latents)
 from latentprior.generator import sample_styles, synthesize_batch, synthesize_vjp_batch
 from latentprior.inversion import (
-    ADAM_BETA1,
-    ADAM_BETA2,
-    ADAM_EPS,
     LOSS_PIXEL,
     LOSS_PROXY,
     SPACE_W,
@@ -57,7 +54,7 @@ class TestAdamStep:
         # m_hat = g, v_hat = g*g, delta = -lr * g / (|g| + eps)
         g = np.array([0.5, -2.0, 1e-3])
         lr, eps = 0.1, 1e-8
-        state, delta = adam_step(AdamState.fresh(g.shape), g, lr, 0.9, 0.999, eps)
+        state, delta = adam_step(AdamState.fresh(g.shape), g, lr)
         npt.assert_allclose(delta, -lr * g / (np.abs(g) + eps), rtol=1e-14)
         npt.assert_allclose(state.m, 0.1 * g, rtol=1e-15)
         npt.assert_allclose(state.v, 0.001 * g * g, rtol=1e-12)
@@ -69,7 +66,7 @@ class TestAdamStep:
         state = AdamState.fresh(4)
         deltas = []
         for g in grads:
-            state, delta = adam_step(state, g, lr, b1, b2, eps)
+            state, delta = adam_step(state, g, lr)
             deltas.append(delta)
 
         # independent reference with explicit running moments
@@ -89,7 +86,7 @@ class TestAdamStep:
         for g in rng.standard_normal((6, 5, 3)):
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
-            state, _ = adam_step(state, g, 0.05, b1, b2, 1e-8)
+            state, _ = adam_step(state, g, 0.05)
         assert state.m is m_buf and state.v is v_buf and state.t == 6
         assert state.m.tobytes() == m.tobytes()
         assert state.v.tobytes() == v.tobytes()
@@ -97,7 +94,7 @@ class TestAdamStep:
     def test_gradient_shape_mismatch(self):
         state = AdamState.fresh((2, 3))
         with pytest.raises(ValueError, match="shape"):
-            adam_step(state, np.zeros(6), 0.1, 0.9, 0.999, 1e-8)
+            adam_step(state, np.zeros(6), 0.1)
 
 
 def _loss(a, b, kind):
@@ -476,8 +473,7 @@ def _lone_invert(target, bundle, model, cfg, init_latent=None):
             grad = grad + cfg.prior_weight * g_prior
         losses.append(loss[0])
         priors.append(prior)
-        state, delta = adam_step(state, grad, cfg.resolved_learning_rate,
-                                 ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
+        state, delta = adam_step(state, grad, cfg.resolved_learning_rate)
         rows = rows + delta
     image = synthesize_batch(bundle, lift_rows(rows[None], s))
     return (rows.reshape(shape), np.array(losses), np.array(priors), image[0],

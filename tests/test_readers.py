@@ -253,6 +253,14 @@ def test_ppm_refuses_a_non_finite_image(bad):
         ppm_bytes(image, (2, 2, 3))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ppm_of_a_range_past_the_float_maximum():
+    # max - min overflows to inf; the preview still spans [0, 255], warning-free
+    image = np.array([-1e308, 1e308, 0.0, 1e308] * 3)
+    pixels = np.frombuffer(ppm_bytes(image, (2, 2, 3))[-12:], dtype=np.uint8)
+    assert pixels.tolist() == [0, 255, 128, 255] * 3
+
+
 @properties
 @given(st.integers(1, 4), st.integers(1, 4), st.floats(-1e300, 1e300), st.data())
 def test_ppm_is_a_p6_header_and_three_bytes_a_pixel(h, w, value, data):
