@@ -78,7 +78,6 @@ from .inversion import (
     SPACE_W,
     SPACE_WPLUS,
     InversionConfig,
-    NoiseRamp,
     invert,
     result_to_json,
 )
@@ -277,10 +276,8 @@ def replay_manifest(manifest_path, out_dir, threads: int = 1) -> None:
 # flag -> the config field it sets, where the two names differ; any other
 # flag sets the field named by its snake_case spelling
 _FIELDS = {"space": "target_space", "lambda": "prior_weight", "loss": "loss_kind",
-           "noise-initial-std": "initial_std_factor",
-           "noise-ramp-fraction": "ramp_fraction", "lambdas": "prior_weights",
-           "grid": "prior_weights", "images": "n_images", "pairs": "n_pairs",
-           "iters": "iterations", "samples": "n_samples",
+           "lambdas": "prior_weights", "grid": "prior_weights", "images": "n_images",
+           "pairs": "n_pairs", "iters": "iterations", "samples": "n_samples",
            "identity-samples": "n_identity"}
 
 
@@ -310,7 +307,7 @@ def _run_fit_prior(config, inputs, threads):
 
 def _run_invert(config, inputs, threads):
     bundle = inputs["bundle"]
-    cfg = _settings(InversionConfig, config, noise_ramp=_settings(NoiseRamp, config))
+    cfg = _settings(InversionConfig, config)
     result = invert(inputs["target"], bundle, inputs["model"], cfg)
     image = result.final_image
     return ({"result.json": result_to_json(result, cfg),
@@ -324,10 +321,16 @@ def _run_invert(config, inputs, threads):
 def _run_correct(config, inputs, threads):
     model, rows = inputs["model"], inputs["latents"]
     cfg = _settings(CorrectionConfig, config)
-    files = {"latents.lat": latents_to_bytes(correct_rows(model, rows, cfg))}
     derived = {"rows": int(rows.shape[0])}
     if cfg.method == METHOD_COMPRESS:
+        if model.sigma_max == 0:
+            raise InputFormatError("the model's largest PC std is 0, so "
+                                   "compression has no threshold")
         derived["threshold"] = compression_threshold(model, cfg.tau)
+        if derived["threshold"] == 0:
+            raise UsageError(f"--tau {cfg.tau} times the model's largest PC std "
+                             f"{model.sigma_max} underflows to 0")
+    files = {"latents.lat": latents_to_bytes(correct_rows(model, rows, cfg))}
     return files, derived
 
 
@@ -369,6 +372,8 @@ def _run_pc_profile(config, inputs, threads):
     if ws is None:
         ws = v_to_w(sample_latents(model, rng_from(config["seed"], STREAM_SAMPLES),
                                    config["samples"]))
+    elif ws.shape[0] == 0:
+        raise InputFormatError("the --latents file holds no rows")
     k = config["k"] if config["k"] is not None else min(30, model.dim)
     config["k"] = k
     profile = pc_magnitude_profile(ws, model, k, config["tau"])
@@ -424,8 +429,8 @@ _register(Command(
         Flag("iterations", "int", InversionConfig.iterations),
         Flag("loss", "str", InversionConfig.loss_kind,
              choices=(LOSS_PIXEL, LOSS_PROXY)),
-        Flag("noise-initial-std", "float", NoiseRamp.initial_std_factor),
-        Flag("noise-ramp-fraction", "float", NoiseRamp.ramp_fraction),
+        Flag("noise-initial-std", "float", InversionConfig.noise_initial_std),
+        Flag("noise-ramp-fraction", "float", InversionConfig.noise_ramp_fraction),
     ),
     required_inputs=("bundle", "model", "target"),
     runner=_run_invert,

@@ -15,17 +15,20 @@ Four experiments, all deterministic given a seed:
 
 The interpolation experiment inverts each (space, prior weight)
 condition's target pool with one invert_batch call, on the calling
-thread: the inversion steps are Python-bound, so one batch beats a
-thread per target. Only fid_tradeoff's operating points use a thread
-pool, whose worker count never changes a result. Report aggregates
-(curves, medians) are plain functions of the stored raw records.
+thread: a batched step costs a flat 44-49 us per problem-iteration from
+20 to 80 problems (W+, one BLAS thread on a 2-core CPU), bound by
+arithmetic and memory traffic, and two threads over a 20-problem
+backward pass ran only 1.01-1.18x faster. Only fid_tradeoff's operating
+points use a thread pool, whose worker count never changes a result.
+Report aggregates (curves, medians) are plain functions of the stored
+raw records.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -49,7 +52,6 @@ from .inversion import (
     SPACE_W,
     SPACE_WPLUS,
     InversionConfig,
-    NoiseRamp,
     invert,  # noqa: F401  perfbench wraps evaluation.invert (name pinned in tests)
     invert_batch,
     latent_shape,
@@ -112,7 +114,8 @@ class InterpolationConfig:
     iterations: int | None = 3000
     learning_rate: float | None = 0.02
     loss_kind: str = LOSS_PIXEL
-    noise_ramp: NoiseRamp = field(default_factory=NoiseRamp)
+    noise_initial_std: float = InversionConfig.noise_initial_std
+    noise_ramp_fraction: float = InversionConfig.noise_ramp_fraction
     oracle_init: bool = False
     seed: int = 0
 
@@ -147,8 +150,9 @@ class InterpolationConfig:
     def inversion_config(self, space: str, prior_weight: float) -> InversionConfig:
         """The settings every target of one condition is inverted with."""
         return InversionConfig(space, prior_weight, learning_rate=self.learning_rate,
-                               iterations=self.iterations, noise_ramp=self.noise_ramp,
-                               loss_kind=self.loss_kind)
+                               iterations=self.iterations, loss_kind=self.loss_kind,
+                               noise_initial_std=self.noise_initial_std,
+                               noise_ramp_fraction=self.noise_ramp_fraction)
 
 
 @dataclass(frozen=True)

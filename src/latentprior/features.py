@@ -36,10 +36,6 @@ class FeatureNet:
     def n_in(self) -> int:
         return self.w1.shape[1]
 
-    @property
-    def n_out(self) -> int:
-        return self.w2.shape[0]
-
 
 def init_feature_net(seed: int, n_in: int, hidden: int = DEFAULT_HIDDEN,
                      k: int = DEFAULT_FEATURES) -> FeatureNet:

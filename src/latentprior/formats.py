@@ -207,11 +207,11 @@ def image_to_f64_bytes(image) -> bytes:
     return np.ascontiguousarray(flat, dtype="<f8").tobytes()
 
 
-def image_from_f64_bytes(data: bytes, pixels: int | None = None) -> np.ndarray:
+def image_from_f64_bytes(data: bytes, pixels: int) -> np.ndarray:
     if len(data) % 8 != 0:
         raise InputFormatError("raw image length is not a multiple of 8")
     flat = np.frombuffer(data, dtype="<f8").astype(np.float64)
-    if pixels is not None and flat.size != pixels:
+    if flat.size != pixels:
         raise InputFormatError(
             f"raw image has {flat.size} values, expected {pixels}"
         )

@@ -159,21 +159,21 @@ def _whiten(model: GaussianModel, vs) -> np.ndarray:
     return (arr - model.mean_v) @ model.chol_inv.T
 
 
-def mahalanobis_sq_batch(model: GaussianModel, vs) -> np.ndarray:
-    """Row-wise energy (v - mu)^T (cov + eps I)^{-1} (v - mu). Returns (n,)."""
+def mahalanobis_sq_and_grad_batch(model: GaussianModel, vs):
+    """Row-wise (n,) energies (v - mu)^T (cov + eps I)^{-1} (v - mu) and their
+    (n, d) gradients 2 (cov + eps I)^{-1} (v - mu), from one whitening."""
     y = _whiten(model, vs)
-    return np.einsum("ij,ij->i", y, y)
+    return np.einsum("ij,ij->i", y, y), 2.0 * y @ model.chol_inv
+
+
+def mahalanobis_sq_batch(model: GaussianModel, vs) -> np.ndarray:
+    """The (n,) energies of mahalanobis_sq_and_grad_batch."""
+    return mahalanobis_sq_and_grad_batch(model, vs)[0]
 
 
 def mahalanobis_sq_grad_batch(model: GaussianModel, vs) -> np.ndarray:
-    """Row-wise gradient 2 (cov + eps I)^{-1} (v - mu). Returns (n, d)."""
-    return 2.0 * _whiten(model, vs) @ model.chol_inv
-
-
-def mahalanobis_sq_and_grad_batch(model: GaussianModel, vs):
-    """Both of the above from one whitening: ((n,) energies, (n, d) gradients)."""
-    y = _whiten(model, vs)
-    return np.einsum("ij,ij->i", y, y), 2.0 * y @ model.chol_inv
+    """The (n, d) gradients of mahalanobis_sq_and_grad_batch."""
+    return mahalanobis_sq_and_grad_batch(model, vs)[1]
 
 
 def sample_latents(model: GaussianModel, seed, n: int) -> np.ndarray:

@@ -24,7 +24,7 @@ frozen, with its update masked to zero. invert is the case n = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -58,18 +58,6 @@ ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
-class NoiseRamp:
-    initial_std_factor: float = 0.05
-    ramp_fraction: float = 0.75
-
-    def __post_init__(self):
-        if not 0 < self.ramp_fraction <= 1:
-            raise ValueError(f"ramp_fraction must be in (0, 1], got {self.ramp_fraction}")
-        if self.initial_std_factor < 0:
-            raise ValueError("initial_std_factor must be nonnegative")
-
-
-@dataclass(frozen=True)
 class InversionConfig:
     """Everything invert() needs besides the target and the networks.
 
@@ -81,7 +69,8 @@ class InversionConfig:
     prior_weight: float = 1e-4
     learning_rate: float | None = None
     iterations: int | None = None
-    noise_ramp: NoiseRamp = field(default_factory=NoiseRamp)
+    noise_initial_std: float = 0.05    # times the W std norm
+    noise_ramp_fraction: float = 0.75  # of the iterations, over which it falls to 0
     loss_kind: str = LOSS_PIXEL
     seed: int = 0
 
@@ -96,6 +85,11 @@ class InversionConfig:
             raise ValueError("iterations must be >= 1")
         if self.learning_rate is not None and self.learning_rate < 0:
             raise ValueError("learning_rate must be nonnegative")
+        if self.noise_initial_std < 0:
+            raise ValueError("noise_initial_std must be nonnegative")
+        if not 0 < self.noise_ramp_fraction <= 1:
+            raise ValueError("noise_ramp_fraction must be in (0, 1], "
+                             f"got {self.noise_ramp_fraction}")
 
     @property
     def resolved_learning_rate(self) -> float:
@@ -278,7 +272,7 @@ def invert_batch(targets, bundle: GeneratorBundle, model: GaussianModel,
     and starts at ``init_latents[i]``, or at the empirical W mean on every
     row when ``init_latents`` is None. Every iteration evaluates the whole
     batch at once, but no problem reads another's numbers, so each result
-    agrees with a lone ``invert`` of its target to rounding. ``diverged_at``
+    agrees to rounding with a batch of that problem alone. ``diverged_at``
     holds each problem's first iteration with a non-finite loss or prior
     (-1 while it runs); from then on its update is masked to zero, and the
     others run on unchanged.
@@ -310,11 +304,10 @@ def invert_batch(targets, bundle: GeneratorBundle, model: GaussianModel,
 
     iterations = config.resolved_iterations
     lr = config.resolved_learning_rate
-    ramp = config.noise_ramp
     noise_rngs = [rng_from(seed, STREAM_INVERT_NOISE) for seed in seeds]
     noise = np.empty(rows.shape)  # C order: each draw fills its rows in order
-    sigma0 = ramp.initial_std_factor * w_std_norm(model) \
-        if ramp.initial_std_factor > 0 else 0.0
+    sigma0 = config.noise_initial_std * w_std_norm(model) \
+        if config.noise_initial_std > 0 else 0.0
 
     state = AdamState.fresh(rows.shape)
     loss_trace = np.zeros((iterations, n))  # row t: every problem's iteration t
@@ -322,7 +315,7 @@ def invert_batch(targets, bundle: GeneratorBundle, model: GaussianModel,
     diverged_at = np.full(n, -1)  # first non-finite iteration; -1 while running
 
     for t in range(iterations):
-        decay = max(0.0, 1.0 - t / (ramp.ramp_fraction * iterations)) ** 2
+        decay = max(0.0, 1.0 - t / (config.noise_ramp_fraction * iterations)) ** 2
         std_t = sigma0 * decay
         if std_t > 0:
             for rng, out in zip(noise_rngs, noise):
@@ -370,15 +363,14 @@ def invert_batch(targets, bundle: GeneratorBundle, model: GaussianModel,
 
 
 def invert(target_image, bundle: GeneratorBundle, model: GaussianModel,
-           config: InversionConfig, init_latent=None) -> InversionResult:
-    """Solve the inversion problem for one target image: invert_batch at n = 1.
+           config: InversionConfig) -> InversionResult:
+    """Solve the inversion problem for one target image from the empirical
+    W mean: invert_batch of that one target, with ``config.seed``.
 
-    ``init_latent`` overrides the default start at the empirical W mean
-    (on every row); the override is what oracle-mode experiments use.
-    Raises NumericalFailure when the problem diverges.
+    A start of one's own is per-problem data, given to invert_batch as
+    ``init_latents``. Raises NumericalFailure when the problem diverges.
     """
-    init = None if init_latent is None else [init_latent]
-    (result,) = invert_batch([target_image], bundle, model, config, [config.seed], init)
+    (result,) = invert_batch([target_image], bundle, model, config, [config.seed])
     if isinstance(result, NumericalFailure):
         raise result
     return result

@@ -153,6 +153,20 @@ class TestInvert:
         assert (out / "recon.ppm").read_bytes().startswith(b"P6\n")
         assert len((out / "recon.f64").read_bytes()) == 16 * 16 * 3 * 8
 
+    def test_noise_settings_are_flat_config_keys(self, ws, tmp_path):
+        out = tmp_path / "inv"
+        assert run("invert", "--bundle", ws["bundle"], "--model", ws["model"],
+                   "--target", ws["target"], "--iterations", 4,
+                   "--noise-initial-std", 0.1, "--noise-ramp-fraction", 0.5,
+                   "--out", out) == 0
+        config = json.loads((out / "result.json").read_text())["config"]
+        assert "noise_ramp" not in config
+        assert (config["noise_initial_std"], config["noise_ramp_fraction"]) == \
+            (0.1, 0.5)
+        manifest = manifest_of(out)["config"]
+        assert (manifest["noise-initial-std"], manifest["noise-ramp-fraction"]) == \
+            (0.1, 0.5)
+
 
 class TestCorrect:
     def test_truncation_psi_one_is_byte_identical(self, ws):
@@ -238,6 +252,46 @@ class TestExitCodes:
                  "--out", tmp_path / "o")
         assert rc == 3
         assert capsys.readouterr().err == f"input error: malformed model: {cause}\n"
+
+    def test_pc_profile_of_an_empty_latents_file_is_input_error(self, ws, tmp_path,
+                                                                 capsys):
+        empty = tmp_path / "empty.lat"
+        empty.write_bytes(latents_to_bytes(np.zeros((0, 32))))
+        capsys.readouterr()
+        rc = run("experiment", "pc-profile", "--model", ws["model"],
+                 "--latents", empty, "--out", tmp_path / "o")
+        assert rc == 3
+        assert capsys.readouterr().err == \
+            "input error: the --latents file holds no rows\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_compression_under_a_zero_covariance_model_is_input_error(
+            self, ws, tmp_path, capsys):
+        doc = json.loads(ws["model"].read_text())
+        flat = tmp_path / "model.json"
+        flat.write_text(json.dumps({**doc, "cov_v": [0.0] * len(doc["cov_v"])}))
+        capsys.readouterr()
+        rc = run("correct", "--model", flat, "--latents", ws["latents"],
+                 "--method", "compression", "--out", tmp_path / "o")
+        assert rc == 3
+        assert capsys.readouterr().err == ("input error: the model's largest PC "
+                                           "std is 0, so compression has no "
+                                           "threshold\n")
+        # truncation and the profile need no threshold above zero
+        assert run("correct", "--model", flat, "--latents", ws["latents"],
+                   "--method", "truncation", "--out", tmp_path / "trunc") == 0
+        assert run("experiment", "pc-profile", "--model", flat, "--samples", 10,
+                   "--out", tmp_path / "profile") == 0
+
+    def test_a_tau_whose_threshold_underflows_is_usage(self, ws, tmp_path, capsys):
+        sigma_max = load_model(ws["model"]).sigma_max
+        capsys.readouterr()
+        rc = run("correct", "--model", ws["model"], "--latents", ws["latents"],
+                 "--tau", 5e-324, "--out", tmp_path / "o")
+        assert rc == 2
+        assert capsys.readouterr().err == (f"error: --tau 5e-324 times the model's "
+                                           f"largest PC std {sigma_max} "
+                                           f"underflows to 0\n")
 
     @pytest.mark.parametrize("corrupt", [
         lambda doc: {**doc, "seed": float("inf")},

@@ -30,7 +30,7 @@ from latentprior.evaluation import (
 from latentprior.features import FeatureNet, embed
 from latentprior.gaussian import fit_gaussian, sample_latents
 from latentprior.generator import GeneratorDims, init_generator
-from latentprior.inversion import LOSS_PROXY, SPACE_W, SPACE_WPLUS, NoiseRamp
+from latentprior.inversion import LOSS_PROXY, SPACE_W, SPACE_WPLUS
 from latentprior.spaces import v_to_w
 
 
@@ -94,12 +94,13 @@ class TestConfigValidation:
             quiet_config(**kwargs)
 
     def test_each_condition_inverts_with_the_shared_settings(self):
-        ramp = NoiseRamp(initial_std_factor=0.1)
-        cfg = quiet_config(noise_ramp=ramp, loss_kind=LOSS_PROXY)
+        cfg = quiet_config(noise_initial_std=0.1, noise_ramp_fraction=0.5,
+                           loss_kind=LOSS_PROXY)
         inv = cfg.inversion_config(SPACE_WPLUS, 1e-4)
         assert (inv.target_space, inv.prior_weight) == (SPACE_WPLUS, 1e-4)
         assert (inv.learning_rate, inv.iterations) == (0.05, 60)
-        assert (inv.noise_ramp, inv.loss_kind) == (ramp, LOSS_PROXY)
+        assert (inv.noise_initial_std, inv.noise_ramp_fraction) == (0.1, 0.5)
+        assert inv.loss_kind == LOSS_PROXY
 
     def test_t_grid_normalized_to_floats(self):
         cfg = quiet_config(t_grid=(0, 0.5, 1))
@@ -131,7 +132,7 @@ class TestOracleStart:
             n_pairs=3,
             iterations=1,
             learning_rate=0.0,
-            noise_ramp=NoiseRamp(initial_std_factor=0.0),
+            noise_initial_std=0.0,
             oracle_init=True,
             seed=3,
         )
@@ -224,8 +225,7 @@ class TestSmallExperiment:
 class TestExperimentArguments:
     def test_config_sets_pairs_and_t_grid(self, bundle, fitted_model):
         cfg = quiet_config(iterations=5, oracle_init=True,
-                           noise_ramp=NoiseRamp(initial_std_factor=0.0),
-                           n_pairs=1, t_grid=(0.0, 0.5, 1.0))
+                           noise_initial_std=0.0, n_pairs=1, t_grid=(0.0, 0.5, 1.0))
         report = interpolation_experiment(bundle, fitted_model, cfg)
         assert report.t_grid == (0.0, 0.5, 1.0)
         rec = report.record(report.conditions[0])

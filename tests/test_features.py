@@ -24,7 +24,7 @@ class TestInit:
         assert features.proxy_net(48) is features.proxy_net(48)
 
     def test_dims(self, net):
-        assert net.n_in == 48 and net.n_out == 8
+        assert net.n_in == 48 and net.w2.shape[0] == 8
 
 
 class TestEmbed:

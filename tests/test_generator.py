@@ -569,7 +569,7 @@ class TestImageFiles:
         with open(path, "ab") as fh:
             fh.write(b"xyz")
         with pytest.raises(InputFormatError):
-            formats.image_from_f64_bytes(formats.read(path))
+            formats.image_from_f64_bytes(formats.read(path), 48)
 
     def test_ppm_header_and_scaling(self):
         img = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0,

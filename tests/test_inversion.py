@@ -19,7 +19,6 @@ from latentprior.inversion import (
     SPACE_WPLUS,
     AdamState,
     InversionConfig,
-    NoiseRamp,
     adam_step,
     invert,
     invert_batch,
@@ -184,18 +183,13 @@ class TestConfig:
         {"prior_weight": -1e-3},
         {"loss_kind": "ssim"},
         {"iterations": 0},
+        {"noise_ramp_fraction": 0.0},
+        {"noise_ramp_fraction": 1.5},
+        {"noise_initial_std": -0.1},
     ])
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             InversionConfig(**kwargs)
-
-    def test_noise_ramp_validation(self):
-        with pytest.raises(ValueError):
-            NoiseRamp(ramp_fraction=0.0)
-        with pytest.raises(ValueError):
-            NoiseRamp(ramp_fraction=1.5)
-        with pytest.raises(ValueError):
-            NoiseRamp(initial_std_factor=-0.1)
 
 
 class TestWStdNorm:
@@ -305,9 +299,9 @@ class TestInvert:
         _, stack, image = target
         cfg = InversionConfig(
             target_space=SPACE_WPLUS, prior_weight=0.0, learning_rate=0.05,
-            iterations=4, noise_ramp=NoiseRamp(initial_std_factor=0.0),
+            iterations=4, noise_initial_std=0.0,
         )
-        result = invert(image, bundle, fitted_model, cfg, init_latent=stack)
+        (result,) = invert_batch([image], bundle, fitted_model, cfg, [0], [stack])
         npt.assert_array_equal(result.latent, stack)
         assert result.final_image_error == 0.0
         npt.assert_array_equal(result.loss_trace, np.zeros(4))
@@ -398,7 +392,7 @@ class TestInvert:
         for weight, lr in ((0.0, 1e120), (1e-4, 1e308)):
             cfg = InversionConfig(
                 target_space=SPACE_W, prior_weight=weight, learning_rate=lr,
-                iterations=10, noise_ramp=NoiseRamp(initial_std_factor=0.0),
+                iterations=10, noise_initial_std=0.0,
             )
             with pytest.raises(NumericalFailure) as exc:
                 invert(image, bundle, fitted_model, cfg)
@@ -434,8 +428,8 @@ class TestInvert:
         _, _, image = target
         cfg = InversionConfig(target_space=SPACE_W, iterations=1)
         with pytest.raises(ValueError, match="latent shape"):
-            invert(image, bundle, fitted_model, cfg,
-                   init_latent=np.zeros((2, bundle.dims.latent_dim)))
+            invert_batch([image], bundle, fitted_model, cfg, [0],
+                         [np.zeros((2, bundle.dims.latent_dim))])
 
 
 def _lone_invert(target, bundle, model, cfg, init_latent=None):
@@ -451,13 +445,12 @@ def _lone_invert(target, bundle, model, cfg, init_latent=None):
         return reconstruction_loss(images, target[None], cfg.loss_kind)
 
     iterations = cfg.resolved_iterations
-    ramp = cfg.noise_ramp
     noise_rng = rng_from(cfg.seed, STREAM_INVERT_NOISE)
-    sigma0 = ramp.initial_std_factor * w_std_norm(model)
+    sigma0 = cfg.noise_initial_std * w_std_norm(model)
     state = AdamState.fresh(rows.shape)
     losses, priors = [], []
     for t in range(iterations):
-        std_t = sigma0 * max(0.0, 1.0 - t / (ramp.ramp_fraction * iterations)) ** 2
+        std_t = sigma0 * max(0.0, 1.0 - t / (cfg.noise_ramp_fraction * iterations)) ** 2
         eval_rows = rows
         if std_t > 0:
             eval_rows = rows + std_t * noise_rng.standard_normal(rows.shape)
@@ -519,8 +512,6 @@ class TestInvertBatch:
         reference = _lone_invert(pool[1], bundle, fitted_model, cfg, start)
         (batched,) = invert_batch(pool[1:2], bundle, fitted_model, cfg, [5], [start])
         _assert_bitwise(batched, reference)
-        _assert_bitwise(invert(pool[1], bundle, fitted_model, cfg, init_latent=start),
-                        reference)
 
     @pytest.mark.parametrize("space", [SPACE_W, SPACE_WPLUS])
     @pytest.mark.parametrize("loss_kind", [LOSS_PIXEL, LOSS_PROXY])
@@ -600,13 +591,13 @@ class TestInvertBatch:
 
     def test_lone_divergence_raises_its_one_line_message(self, bundle, fitted_model,
                                                          pool):
-        cfg = InversionConfig(target_space=SPACE_W, iterations=5)
+        # the first step lands every coordinate near the float limit
+        cfg = InversionConfig(target_space=SPACE_W, iterations=5, learning_rate=1e308)
         with pytest.raises(NumericalFailure) as exc:
-            invert(pool[0], bundle, fitted_model, cfg,
-                   init_latent=np.full(bundle.dims.latent_dim, 1e200))
+            invert(pool[0], bundle, fitted_model, cfg)
         assert str(exc.value) == \
-            "inversion diverged at iteration 0 (loss=nan, prior=inf)"
-        assert exc.value.iteration == 0
+            "inversion diverged at iteration 1 (loss=nan, prior=nan)"
+        assert exc.value.iteration == 1
 
     def test_arguments_checked(self, bundle, fitted_model, pool):
         cfg = InversionConfig(target_space=SPACE_W, iterations=1)

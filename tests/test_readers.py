@@ -213,7 +213,7 @@ def test_bundle_from_json_raises_only_input_format_error(data):
 
 
 @properties
-@given(any_bytes, st.none() | st.integers(0, 8))
+@given(any_bytes, st.integers(0, 8))
 def test_image_from_f64_bytes_raises_only_input_format_error(data, pixels):
     _only_input_format_error(image_from_f64_bytes, data, pixels)
 
