@@ -309,13 +309,13 @@ def _run_invert(config, inputs, threads):
     bundle = inputs["bundle"]
     cfg = _settings(InversionConfig, config)
     result = invert(inputs["target"], bundle, inputs["model"], cfg)
-    image = result.final_image
+    image = result.final_images[0]
     return ({"result.json": result_to_json(result, cfg),
              "latent.lat": latents_to_bytes(
-                 result.latent.reshape(-1, bundle.dims.latent_dim)),
+                 result.latents.reshape(-1, bundle.dims.latent_dim)),
              "recon.f64": image_to_f64_bytes(image),
              "recon.ppm": ppm_bytes(image, bundle.dims.image_shape)},
-            {"final_image_error": result.final_image_error})
+            {"final_image_error": result.final_image_errors[0]})
 
 
 def _run_correct(config, inputs, threads):
@@ -370,8 +370,10 @@ def _run_pc_profile(config, inputs, threads):
     model = inputs["model"]
     ws = inputs.get("latents")
     if ws is None:
-        ws = v_to_w(sample_latents(model, rng_from(config["seed"], STREAM_SAMPLES),
-                                   config["samples"]))
+        n = config["samples"]
+        if n < 1:
+            raise UsageError(f"--samples must be >= 1, got {n}")
+        ws = v_to_w(sample_latents(model, rng_from(config["seed"], STREAM_SAMPLES), n))
     elif ws.shape[0] == 0:
         raise InputFormatError("the --latents file holds no rows")
     k = config["k"] if config["k"] is not None else min(30, model.dim)

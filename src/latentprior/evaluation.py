@@ -27,14 +27,12 @@ raw records.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from .correction import (CorrectionConfig, compress_rows, compression_threshold,
                          truncate_rows, w_to_pc)
-from .errors import NumericalFailure
 from .features import embed, init_feature_net
 from .formats import csv_text, json_text, record_fields
 from .gaussian import GaussianModel, frechet_distance, moments
@@ -80,6 +78,8 @@ def _pmap(fn, items, threads: int) -> list:
     """Ordered map, optionally over a thread pool. Results match input order."""
     items = list(items)
     if threads > 1 and len(items) > 1:
+        # imported here, so that importing the package loads no concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
@@ -268,23 +268,20 @@ def _ground_truth(bundle: GeneratorBundle, config: InterpolationConfig,
 def _invert_pool(bundle, model, config: InterpolationConfig, space: str,
                  weight: float, space_idx: int, targets: np.ndarray,
                  truth_latents: np.ndarray):
-    """Invert every target of a pool as one batch; failures are masked, not raised."""
+    """Invert every target of a pool as one batch: (estimates, ok, latent
+    errors, image errors), where ok marks the targets that did not diverge;
+    the others' entries stay zero, so no non-finite row reaches a report."""
     n = config.n_images
     cfg = config.inversion_config(space, weight)
     seeds = [child_seed(config.seed, STREAM_TASKS, space_idx, i) for i in range(n)]
     init = truth_latents if config.oracle_init else None
-    results = invert_batch(targets, bundle, model, cfg, seeds, init_latents=init)
+    result = invert_batch(targets, bundle, model, cfg, seeds, init_latents=init)
+    ok = result.diverged_at < 0
     est = np.zeros_like(truth_latents)
-    ok = np.zeros(n, dtype=bool)
+    est[ok] = result.latents[ok]
     lat_err = np.zeros(n)
-    img_err = np.zeros(n)
-    for i, res in enumerate(results):
-        if isinstance(res, NumericalFailure):
-            continue
-        ok[i] = True
-        est[i] = res.latent
-        lat_err[i] = latent_error(res.latent, truth_latents[i])
-        img_err[i] = res.final_image_error
+    lat_err[ok] = [latent_error(a, b) for a, b in zip(est[ok], truth_latents[ok])]
+    img_err = np.where(ok, result.final_image_errors, 0.0)
     return est, ok, lat_err, img_err
 
 

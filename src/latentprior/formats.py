@@ -45,10 +45,9 @@ def write(path, data: str | bytes) -> None:
 # --- JSON and CSV ------------------------------------------------------------
 
 
-def record_fields(record, skip=()) -> dict:
+def record_fields(record) -> dict:
     """A dataclass's fields by name, in declaration order, values as held."""
-    return {f.name: getattr(record, f.name) for f in fields(record)
-            if f.name not in skip}
+    return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
 def _plain(obj):

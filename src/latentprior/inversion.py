@@ -18,7 +18,9 @@ synthesize_vjp_batch call (one forward pass, whose images feed the loss,
 then the backward pass), one prior whitening of the (n * r, d) rows and
 one ADAM step on the batch state. Each problem has its own noise stream
 and moments and reads nothing of the others; one that diverges is
-frozen, with its update masked to zero. invert is the case n = 1.
+frozen, with its update masked to zero. It returns one InversionResult
+whose arrays hold every problem along axis 0. invert is the case n = 1,
+and it alone raises NumericalFailure for a diverged problem.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import features
 from .errors import NumericalFailure
-from .formats import json_text, record_fields
+from .formats import json_text
 from .gaussian import GaussianModel, mahalanobis_sq_and_grad_batch
 # not called here: the benchmark's tracer (perfbench/spans.py) wraps them
 # under these names, and tests/test_benchmark_names.py pins them
@@ -106,12 +108,19 @@ class InversionConfig:
 
 @dataclass(frozen=True)
 class InversionResult:
-    latent: np.ndarray        # (d,) for W, (s, d) for W+
-    loss_trace: np.ndarray    # reconstruction loss per iteration
-    prior_trace: np.ndarray   # prior energy per iteration (zeros when weight 0)
-    final_image_error: float  # reconstruction loss at the returned latent
-    iterations_run: int
-    final_image: np.ndarray   # (pixels,) image of the returned latent
+    """n inversion problems solved together; axis 0 of each array is the problem."""
+
+    # (n, d) for W, (n, s, d) for W+; a diverged row may be non-finite and
+    # must never be written
+    latents: np.ndarray
+    loss_trace: np.ndarray          # (n, iterations) reconstruction loss
+    prior_trace: np.ndarray         # (n, iterations) prior energy, 0 when weight 0
+    final_image_errors: np.ndarray  # (n,) reconstruction loss at the returned latent
+    final_images: np.ndarray        # (n, pixels) image of the returned latent
+    # (n,) -1 for a solved problem, else its first iteration with a
+    # non-finite loss or prior, or `iterations` when only the final loss is
+    diverged_at: np.ndarray
+    iterations_run: int  # kept as a field: perfbench's inversion work counter reads it
 
 
 def latent_shape(space: str, dims: GeneratorDims) -> tuple[int, ...]:
@@ -265,21 +274,19 @@ def objective_and_gradient(target_image, bundle: GeneratorBundle,
 # checks report that, so numpy's warnings would only repeat it
 @np.errstate(over="ignore", invalid="ignore")
 def invert_batch(targets, bundle: GeneratorBundle, model: GaussianModel,
-                 config: InversionConfig, seeds, init_latents=None) -> list:
+                 config: InversionConfig, seeds, init_latents=None) -> InversionResult:
     """Solve one inversion problem per row of ``targets`` (n, pixels), in lockstep.
 
     Problem i draws its noise from ``seeds[i]`` (``config.seed`` is not read)
     and starts at ``init_latents[i]``, or at the empirical W mean on every
     row when ``init_latents`` is None. Every iteration evaluates the whole
-    batch at once, but no problem reads another's numbers, so each result
-    agrees to rounding with a batch of that problem alone. ``diverged_at``
-    holds each problem's first iteration with a non-finite loss or prior
-    (-1 while it runs); from then on its update is masked to zero, and the
-    others run on unchanged.
+    batch at once, but no problem reads another's numbers, so each row of
+    the result agrees to rounding with a batch of that problem alone. From
+    the first iteration with a non-finite loss or prior a problem's update
+    is masked to zero, and the others run on unchanged.
 
-    Returns a list with, for each target, an InversionResult or a
-    NumericalFailure at its diverging iteration (``iterations`` when only
-    the final image's loss is non-finite).
+    Returns one InversionResult whose rows are the problems; a problem
+    diverged where its ``diverged_at`` is >= 0, and nothing is raised.
     """
     targets = np.asarray(targets, dtype=np.float64)
     pixels = bundle.dims.pixels
@@ -337,29 +344,11 @@ def invert_batch(targets, bundle: GeneratorBundle, model: GaussianModel,
 
     final_images = synthesize_batch(bundle, lift_rows(rows, bundle.dims.scales))
     final_errors, _ = loss_fn(final_images)
-    results = []
-    for i, t in enumerate(diverged_at.tolist()):
-        if t >= 0:
-            results.append(NumericalFailure(
-                f"inversion diverged at iteration {t} (loss={float(loss_trace[t, i])}, "
-                f"prior={float(prior_trace[t, i])})",
-                iteration=t,
-            ))
-        elif not np.isfinite(final_errors[i]):
-            results.append(NumericalFailure(
-                f"inversion diverged in its last step (loss={float(final_errors[i])})",
-                iteration=iterations,
-            ))
-        else:
-            results.append(InversionResult(
-                latent=rows[i].reshape(shape),
-                loss_trace=loss_trace[:, i].copy(),
-                prior_trace=prior_trace[:, i].copy(),
-                final_image_error=float(final_errors[i]),
-                iterations_run=iterations,
-                final_image=final_images[i],
-            ))
-    return results
+    diverged_at[(diverged_at < 0) & ~np.isfinite(final_errors)] = iterations
+    return InversionResult(latents=rows.reshape((n,) + shape), loss_trace=loss_trace.T,
+                           prior_trace=prior_trace.T, final_image_errors=final_errors,
+                           final_images=final_images, diverged_at=diverged_at,
+                           iterations_run=iterations)
 
 
 def invert(target_image, bundle: GeneratorBundle, model: GaussianModel,
@@ -370,13 +359,23 @@ def invert(target_image, bundle: GeneratorBundle, model: GaussianModel,
     A start of one's own is per-problem data, given to invert_batch as
     ``init_latents``. Raises NumericalFailure when the problem diverges.
     """
-    (result,) = invert_batch([target_image], bundle, model, config, [config.seed])
-    if isinstance(result, NumericalFailure):
-        raise result
+    result = invert_batch([target_image], bundle, model, config, [config.seed])
+    t = int(result.diverged_at[0])
+    if t == result.iterations_run:
+        raise NumericalFailure("inversion diverged in its last step (loss="
+                               f"{float(result.final_image_errors[0])})", iteration=t)
+    if t >= 0:
+        raise NumericalFailure(f"inversion diverged at iteration {t} "
+                               f"(loss={float(result.loss_trace[0, t])}, "
+                               f"prior={float(result.prior_trace[0, t])})", iteration=t)
     return result
 
 
 def result_to_json(result: InversionResult, config: InversionConfig) -> str:
-    """The result's fields but the final image, plus the config, for provenance."""
-    return json_text({"config": config,
-                      **record_fields(result, skip=("final_image",))})
+    """Problem 0's latent, traces and final error, the iteration count and
+    the config, for provenance."""
+    return json_text({"config": config, "latent": result.latents[0],
+                      "loss_trace": result.loss_trace[0],
+                      "prior_trace": result.prior_trace[0],
+                      "final_image_error": result.final_image_errors[0],
+                      "iterations_run": result.iterations_run})

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, config merging, and manifests."""
 
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -509,6 +510,14 @@ class TestExitCodes:
                  "--out", tmp_path / "o")
         assert rc == 2
 
+    def test_pc_profile_without_samples_names_the_flag(self, ws, tmp_path, capsys):
+        capsys.readouterr()
+        rc = run("experiment", "pc-profile", "--model", ws["model"], "--samples", 0,
+                 "--out", tmp_path / "o")
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --samples must be >= 1, got 0\n"
+        assert not (tmp_path / "o").exists()
+
     def test_unreachable_image_size_is_usage(self, tmp_path):
         assert run("init-gan", "--image-size", 10, "--out", tmp_path / "o") == 2
 
@@ -904,7 +913,8 @@ class TestThreads:
         def no_pool(*args, **kwargs):
             raise PoolStarted
 
-        monkeypatch.setattr(evaluation, "ThreadPoolExecutor", no_pool)
+        # _pmap imports the pool class when it starts one
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         bundle, model = bundle_from_json(read(ws["bundle"])), load_model(ws["model"])
         config = evaluation.InterpolationConfig(
             spaces=("w", "wplus"), prior_weights=(0.0, 1e-4), n_images=3,
@@ -918,15 +928,6 @@ class TestThreads:
                                              n_identity=8, max_bisect=2)
         with pytest.raises(PoolStarted):
             evaluation.fid_tradeoff(bundle, model, tradeoff, threads=2)
-
-    def test_importing_the_cli_loads_no_scipy(self):
-        src = str(Path(latentprior.__file__).resolve().parents[1])
-        code = ("import sys, latentprior.cli; "
-                "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env={**os.environ, "PYTHONPATH": src},
-                              timeout=300)
-        assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 class TestReplay:

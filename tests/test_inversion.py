@@ -301,10 +301,10 @@ class TestInvert:
             target_space=SPACE_WPLUS, prior_weight=0.0, learning_rate=0.05,
             iterations=4, noise_initial_std=0.0,
         )
-        (result,) = invert_batch([image], bundle, fitted_model, cfg, [0], [stack])
-        npt.assert_array_equal(result.latent, stack)
-        assert result.final_image_error == 0.0
-        npt.assert_array_equal(result.loss_trace, np.zeros(4))
+        result = invert_batch([image], bundle, fitted_model, cfg, [0], [stack])
+        npt.assert_array_equal(result.latents, stack[None])
+        npt.assert_array_equal(result.final_image_errors, [0.0])
+        npt.assert_array_equal(result.loss_trace, np.zeros((1, 4)))
 
     def test_recovers_target_from_mean_start(self, bundle, fitted_model, target):
         _, stack, image = target
@@ -314,16 +314,16 @@ class TestInvert:
         cfg = InversionConfig(target_space=SPACE_W, prior_weight=0.0,
                               learning_rate=0.1, iterations=250, seed=3)
         result = invert(image, bundle, fitted_model, cfg)
-        assert result.latent.shape == (bundle.dims.latent_dim,)
-        assert result.final_image_error < 0.05 * start_error
+        assert result.latents.shape == (1, bundle.dims.latent_dim)
+        assert result.final_image_errors[0] < 0.05 * start_error
 
     def test_trace_lengths_and_prior_trace(self, bundle, fitted_model, target):
         _, _, image = target
         cfg = InversionConfig(target_space=SPACE_W, prior_weight=0.0, iterations=6)
         result = invert(image, bundle, fitted_model, cfg)
         assert result.iterations_run == 6
-        assert result.loss_trace.shape == (6,)
-        npt.assert_array_equal(result.prior_trace, np.zeros(6))
+        assert result.loss_trace.shape == (1, 6)
+        npt.assert_array_equal(result.prior_trace, np.zeros((1, 6)))
 
         cfg_p = InversionConfig(target_space=SPACE_W, prior_weight=1e-4, iterations=6)
         with_prior = invert(image, bundle, fitted_model, cfg_p)
@@ -371,19 +371,19 @@ class TestInvert:
         _, _, image = target
         cfg = InversionConfig(target_space=space, iterations=3)
         result = invert(image, bundle, fitted_model, cfg)
-        latent = result.latent
+        latent = result.latents[0]
         stack = latent if space == SPACE_WPLUS \
             else broadcast_style(latent, bundle.dims.scales)
-        npt.assert_array_equal(result.final_image,
-                               synthesize_batch(bundle, stack[None])[0])
-        assert result.final_image_error == _loss(result.final_image, image,
-                                                 LOSS_PIXEL)[0]
+        npt.assert_array_equal(result.final_images,
+                               synthesize_batch(bundle, stack[None]))
+        npt.assert_array_equal(result.final_image_errors,
+                               _loss(result.final_images[0], image, LOSS_PIXEL)[0])
 
     def test_wplus_latent_shape(self, bundle, fitted_model, target):
         _, _, image = target
         cfg = InversionConfig(target_space=SPACE_WPLUS, iterations=3)
         result = invert(image, bundle, fitted_model, cfg)
-        assert result.latent.shape == (bundle.dims.scales, bundle.dims.latent_dim)
+        assert result.latents.shape == (1, bundle.dims.scales, bundle.dims.latent_dim)
 
     def test_divergence_raises_numerical_failure(self, bundle, fitted_model, target):
         # (prior weight, learning rate); with the prior on, the diverged
@@ -408,6 +408,7 @@ class TestInvert:
                               learning_rate=1e308, iterations=1)
         with pytest.raises(NumericalFailure) as exc:
             invert(image, bundle, fitted_model, cfg)
+        assert str(exc.value) == "inversion diverged in its last step (loss=nan)"
         assert exc.value.iteration == 1
 
     def test_target_shape_rejected(self, bundle, fitted_model):
@@ -474,12 +475,13 @@ def _lone_invert(target, bundle, model, cfg, init_latent=None):
 
 
 def _assert_bitwise(result, reference):
+    """Problem 0 of a batch record holds the reference's bits."""
     latent, losses, priors, image, error = reference
-    assert result.latent.tobytes() == latent.tobytes()
-    assert result.loss_trace.tobytes() == losses.tobytes()
-    assert result.prior_trace.tobytes() == priors.tobytes()
-    assert result.final_image.tobytes() == image.tobytes()
-    assert result.final_image_error == error
+    assert result.latents[0].tobytes() == latent.tobytes()
+    assert result.loss_trace[0].tobytes() == losses.tobytes()
+    assert result.prior_trace[0].tobytes() == priors.tobytes()
+    assert result.final_images[0].tobytes() == image.tobytes()
+    assert result.final_image_errors[0] == error
 
 
 @pytest.fixture(scope="module")
@@ -498,7 +500,7 @@ class TestInvertBatch:
         cfg = InversionConfig(target_space=space, prior_weight=weight,
                               loss_kind=loss_kind, iterations=8, seed=17)
         reference = _lone_invert(pool[0], bundle, fitted_model, cfg)
-        (batched,) = invert_batch(pool[:1], bundle, fitted_model, cfg, [17])
+        batched = invert_batch(pool[:1], bundle, fitted_model, cfg, [17])
         _assert_bitwise(batched, reference)
         _assert_bitwise(invert(pool[0], bundle, fitted_model, cfg), reference)
 
@@ -510,7 +512,7 @@ class TestInvertBatch:
         shape = latent_shape(space, bundle.dims)
         start = fitted_model.mean_w + 0.1 * np.random.default_rng(9).standard_normal(shape)
         reference = _lone_invert(pool[1], bundle, fitted_model, cfg, start)
-        (batched,) = invert_batch(pool[1:2], bundle, fitted_model, cfg, [5], [start])
+        batched = invert_batch(pool[1:2], bundle, fitted_model, cfg, [5], [start])
         _assert_bitwise(batched, reference)
 
     @pytest.mark.parametrize("space", [SPACE_W, SPACE_WPLUS])
@@ -523,25 +525,25 @@ class TestInvertBatch:
                               loss_kind=loss_kind, iterations=30)
         seeds = [3, 1, 4, 1, 5]
         batched = invert_batch(pool, bundle, fitted_model, cfg, seeds)
-        for target, seed, res in zip(pool, seeds, batched):
+        for i, (target, seed) in enumerate(zip(pool, seeds)):
             lone = invert(target, bundle, fitted_model,
                           replace(cfg, seed=seed))
-            npt.assert_allclose(res.final_image_error, lone.final_image_error,
-                                rtol=1e-9)
-            npt.assert_allclose(res.latent, lone.latent, rtol=1e-9)
-            npt.assert_allclose(res.loss_trace, lone.loss_trace, rtol=1e-9)
+            npt.assert_allclose(batched.final_image_errors[i],
+                                lone.final_image_errors[0], rtol=1e-9)
+            npt.assert_allclose(batched.latents[i], lone.latents[0], rtol=1e-9)
+            npt.assert_allclose(batched.loss_trace[i], lone.loss_trace[0], rtol=1e-9)
 
     def test_each_problem_keeps_its_own_noise_stream(self, bundle, fitted_model, pool):
         # one target twice: the copies differ only by their seeds, and each
         # follows the lone inversion with its seed
         cfg = InversionConfig(target_space=SPACE_WPLUS, iterations=12)
         twice = np.stack([pool[2], pool[2]])
-        a, b = invert_batch(twice, bundle, fitted_model, cfg, [7, 8])
-        swapped = invert_batch(twice, bundle, fitted_model, cfg, [8, 7])
-        assert np.max(np.abs(a.latent - b.latent)) > 1e-6
-        for res, seed in ((a, 7), (b, 8), (swapped[1], 7), (swapped[0], 8)):
+        a, b = invert_batch(twice, bundle, fitted_model, cfg, [7, 8]).latents
+        swapped = invert_batch(twice, bundle, fitted_model, cfg, [8, 7]).latents
+        assert np.max(np.abs(a - b)) > 1e-6
+        for latent, seed in ((a, 7), (b, 8), (swapped[1], 7), (swapped[0], 8)):
             lone = invert(pool[2], bundle, fitted_model, replace(cfg, seed=seed))
-            npt.assert_allclose(res.latent, lone.latent, rtol=1e-9)
+            npt.assert_allclose(latent, lone.latents[0], rtol=1e-9)
 
     @pytest.mark.parametrize("weight", [0.0, 1e-4])
     def test_a_diverged_problem_leaves_the_others_bit_for_bit(self, bundle,
@@ -553,41 +555,37 @@ class TestInvertBatch:
         blown = list(benign)
         blown[1] = np.full(bundle.dims.latent_dim, 1e200)
         reference = invert_batch(pool[:4], bundle, fitted_model, cfg, seeds, benign)
-        results = invert_batch(pool[:4], bundle, fitted_model, cfg, seeds, blown)
-        failure = results[1]
-        assert isinstance(failure, NumericalFailure)
-        assert failure.iteration == 0
-        assert str(failure).startswith("inversion diverged at iteration 0 ")
+        result = invert_batch(pool[:4], bundle, fitted_model, cfg, seeds, blown)
+        assert result.diverged_at.tolist() == [-1, 0, -1, -1]
+        assert reference.diverged_at.tolist() == [-1] * 4
         for i in (0, 2, 3):
-            for name in ("latent", "loss_trace", "prior_trace", "final_image"):
-                assert getattr(results[i], name).tobytes() == \
-                    getattr(reference[i], name).tobytes()
-            assert results[i].final_image_error == reference[i].final_image_error
+            for name in ("latents", "loss_trace", "prior_trace", "final_images"):
+                assert getattr(result, name)[i].tobytes() == \
+                    getattr(reference, name)[i].tobytes()
+            assert result.final_image_errors[i] == reference.final_image_errors[i]
 
     def test_every_problem_diverged_returns_every_failure(self, bundle, fitted_model,
                                                           pool):
         cfg = InversionConfig(target_space=SPACE_WPLUS, iterations=5)
         start = np.full(latent_shape(SPACE_WPLUS, bundle.dims), 1e200)
-        results = invert_batch(pool[:2], bundle, fitted_model, cfg, [0, 1],
-                               [start, start])
-        assert [type(r) for r in results] == [NumericalFailure] * 2
-        assert [r.iteration for r in results] == [0, 0]
+        result = invert_batch(pool[:2], bundle, fitted_model, cfg, [0, 1],
+                              [start, start])
+        assert result.diverged_at.tolist() == [0, 0]
 
     def test_a_last_step_divergence_fails_at_iteration_iterations(self, bundle,
                                                                   fitted_model, pool):
         # one enormous step leaves every latent finite but its image's loss nan
         cfg = InversionConfig(target_space=SPACE_W, iterations=1, learning_rate=1e308)
-        last = (1, "inversion diverged in its last step (loss=nan)")
-        results = invert_batch(pool[:3], bundle, fitted_model, cfg, [0, 1, 2])
-        assert [type(r) for r in results] == [NumericalFailure] * 3
-        assert [(r.iteration, str(r)) for r in results] == [last] * 3
+        result = invert_batch(pool[:3], bundle, fitted_model, cfg, [0, 1, 2])
+        assert result.diverged_at.tolist() == [1] * 3
+        assert np.isnan(result.final_image_errors).all()
         # beside a problem that diverges at its start
         starts = [fitted_model.mean_w] * 3
         starts[1] = np.full(bundle.dims.latent_dim, 1e200)
-        results = invert_batch(pool[:3], bundle, fitted_model, cfg, [0, 1, 2], starts)
-        assert [type(r) for r in results] == [NumericalFailure] * 3
-        assert [(r.iteration, str(r)) for r in results] == [
-            last, (0, "inversion diverged at iteration 0 (loss=nan, prior=inf)"), last]
+        result = invert_batch(pool[:3], bundle, fitted_model, cfg, [0, 1, 2], starts)
+        assert result.diverged_at.tolist() == [1, 0, 1]
+        assert np.isnan(result.final_image_errors[[0, 2]]).all()
+        assert np.isnan(result.loss_trace[1, 0]) and np.isinf(result.prior_trace[1, 0])
 
     def test_lone_divergence_raises_its_one_line_message(self, bundle, fitted_model,
                                                          pool):
@@ -623,6 +621,6 @@ class TestResultJson:
         assert doc["config"]["target_space"] == SPACE_WPLUS
         assert doc["iterations_run"] == 3
         latent = np.asarray(doc["latent"])
-        npt.assert_array_equal(latent, result.latent)
+        npt.assert_array_equal(latent, result.latents[0])
         assert len(doc["loss_trace"]) == 3
-        assert doc["final_image_error"] == result.final_image_error
+        assert doc["final_image_error"] == result.final_image_errors[0]

@@ -4,9 +4,16 @@ gaussian, generator and spaces hold numerics only, so they import neither
 json nor struct. formats imports no package module but errors, so any
 module can import it without a cycle: generator re-exports write_image_f64
 from it for the benchmark's workloads.
+
+Importing the CLI loads only what every command needs: scipy, and the
+concurrent.futures and logging that a thread pool brings, wait until a
+caller asks for them.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,3 +60,13 @@ def test_the_import_reader_sees_every_form_of_import():
     # "from . import features"
     outside, inside = _imports("inversion")
     assert "math" in outside and {"formats", "features"} <= inside
+
+
+def test_importing_the_cli_loads_no_scipy_thread_pool_or_logging():
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, latentprior.cli; print(*sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        check=True, timeout=120)
+    loaded = set(proc.stdout.split()) & {"scipy", "concurrent.futures", "logging"}
+    assert loaded == set()
