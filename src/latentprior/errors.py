@@ -7,7 +7,3 @@ class InputFormatError(ValueError):
 
 class NumericalFailure(RuntimeError):
     """A computation produced non-finite values (e.g. a diverged optimization)."""
-
-    def __init__(self, message: str, iteration: int | None = None):
-        super().__init__(message)
-        self.iteration = iteration

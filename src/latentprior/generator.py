@@ -7,12 +7,14 @@ Two stages, mirroring the usual style-based pipeline at desk scale:
   in G is spaces.lru with slope SLOPE_V_TO_W, the inverse of the V map's
   slope, so V (spaces.w_to_v of W) recovers the final pre-activation to
   within 4 ulp. map_latents runs M over near-equal row blocks of at least
-  MAP_BLOCK_ROWS (512) rows, one block below twice that, through two
-  (block rows, hidden_dim) buffers that every layer and block reuse, so
-  its memory does not grow with the batch beyond the (n, d) input and
-  output. On OpenBLAS such blocks give the same bits as mapping the whole
-  batch at once; batches of 37 rows or fewer round differently, which is
-  why no block is short.
+  MAP_BLOCK_ROWS (512) rows, one block below twice that, which its
+  workers share. Each worker maps its blocks through two (block rows,
+  hidden_dim) buffers and one MAP_CHUNK_BYTES chunk buffer, which the
+  caller allocates and every layer and block reuse, so memory does not
+  grow with the batch beyond the (n, d) input and output. On OpenBLAS
+  such blocks give the same bits as mapping the whole batch at once, at
+  any worker count; batches of 37 rows or fewer round differently, which
+  is why no block is short.
 * synthesis network G: starts from a learned constant feature map and runs
   one stage per scale. Each stage upsamples by 2 (except the first),
   modulates features with a per-channel scale and bias computed from that
@@ -55,6 +57,7 @@ places.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +84,9 @@ OUT_GAIN = 0.5
 # OpenBLAS, 37 rows or fewer round differently from the same rows inside a
 # larger product, while blocks this size give the whole batch's bits.
 MAP_BLOCK_ROWS = 512
+# Bytes of one row chunk of the mapping's bias add and activation (64 rows
+# at default dims): the chunk stays in cache between the two passes.
+MAP_CHUNK_BYTES = 1 << 18
 # Bytes of one full-resolution feature map in a block of synthesize_batch
 # (64 rows at default dims), so that a block's maps stay in a 2 MiB L2.
 # Any block size gives the same bits.
@@ -214,10 +220,23 @@ def sample_z(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return np.concatenate(kept)
 
 
-def sample_styles(bundle: GeneratorBundle, seed, n: int) -> np.ndarray:
-    """n mapped styles from fresh z draws; seed is an int or a Generator."""
+def sample_styles(bundle: GeneratorBundle, seed, n: int, threads: int = 1) -> np.ndarray:
+    """n mapped styles from fresh z draws; seed is an int or a Generator.
+    ``threads`` workers run the mapping (map_latents)."""
     rng = seed if isinstance(seed, np.random.Generator) else rng_from(seed, STREAM_Z)
-    return map_latents(bundle, sample_z(rng, n, bundle.dims.latent_dim))
+    return map_latents(bundle, sample_z(rng, n, bundle.dims.latent_dim), threads)
+
+
+def pmap(fn, items, threads: int) -> list:
+    """Ordered map over a pool of ``threads`` worker threads; results match
+    input order. One item or one thread runs inline, with no pool."""
+    items = list(items)
+    if threads > 1 and len(items) > 1:
+        # imported here, so that importing the package loads no concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def _row_blocks(a: np.ndarray) -> list:
@@ -229,16 +248,33 @@ def _row_blocks(a: np.ndarray) -> list:
     return np.array_split(a, max(1, len(a) // MAP_BLOCK_ROWS))
 
 
-def map_latents(bundle: GeneratorBundle, zs) -> np.ndarray:
+def _bias_lru(y: np.ndarray, b: np.ndarray, work: np.ndarray) -> None:
+    """y += b, then the activation in place, over row chunks of y that fit
+    the flat ``work`` buffer, which takes lru's slope * y: each chunk stays
+    in cache between the passes, and no pass allocates."""
+    rows = max(1, work.size // y.shape[1])
+    for j in range(0, len(y), rows):
+        chunk = y[j:j + rows]
+        chunk += b
+        lru(chunk, SLOPE_V_TO_W, out=chunk,
+            work=work[:chunk.size].reshape(chunk.shape))
+
+
+def map_latents(bundle: GeneratorBundle, zs, threads: int = 1) -> np.ndarray:
     """Batched mapping-network forward pass: (n, d) -> (n, d) styles.
 
-    Runs over row blocks (see _row_blocks) through two (block rows,
-    hidden_dim) buffers, allocated once per call: each hidden layer writes
-    its product into one buffer, adds the bias and applies the activation
-    in place, and the next layer reads it and writes the other. The last
-    layer writes into the output. Memory beyond the input and the output
-    stays those buffers, about 2 MiB each at default dims, and the
-    activation's temporary of the same size, at any n.
+    Runs over row blocks (see _row_blocks), which ``threads`` workers
+    (pmap) take one at a time, never more workers than blocks; one block
+    or one worker runs inline. A block computes the same whichever worker
+    maps it, so the result has the same bits at any thread count. Each
+    worker has two (block rows, hidden_dim) buffers and one
+    MAP_CHUNK_BYTES buffer, all allocated here, once per call: each hidden
+    layer writes its product into one buffer, adds the bias and applies
+    the activation in place, chunk by chunk through the chunk buffer
+    (_bias_lru), and the next layer reads it and writes the other. The
+    last layer writes into the output. The workers allocate nothing, so
+    memory beyond the input and the output stays those buffers, about
+    4.25 MiB per worker at default dims, at any n.
     """
     a = np.asarray(zs, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != bundle.dims.latent_dim:
@@ -247,17 +283,31 @@ def map_latents(bundle: GeneratorBundle, zs) -> np.ndarray:
         )
     out = np.empty(a.shape)
     layers = list(zip(bundle.mapping.weights, bundle.mapping.biases))
-    blocks = _row_blocks(a)
-    bufs = [np.empty((len(blocks[0]), bundle.dims.hidden_dim)) for _ in range(2)]
-    for x, dst in zip(blocks, _row_blocks(out)):
-        for i, (w, b) in enumerate(layers):
-            # a row slice of a buffer or of out is contiguous, so np.matmul
-            # calls the BLAS kernel that x @ w.T does, with the same bits
-            y = bufs[i % 2][:len(x)] if i < len(layers) - 1 else dst
-            np.matmul(x, w.T, out=y)
-            y += b
-            lru(y, SLOPE_V_TO_W, out=y)
-            x = y
+    blocks = list(zip(_row_blocks(a), _row_blocks(out)))
+    workers = max(1, min(threads, len(blocks)))
+    width = max(bundle.dims.hidden_dim, bundle.dims.latent_dim)
+    bufs = np.empty((workers, 2, len(blocks[0][0]), bundle.dims.hidden_dim))
+    works = np.empty((workers, max(width, MAP_CHUNK_BYTES // 8)))
+    todo, lock = iter(blocks), threading.Lock()
+
+    def run(k):
+        # worker k maps the next block left until there is none, so a
+        # worker slowed by another process takes fewer blocks
+        while True:
+            with lock:
+                x, dst = next(todo, (None, None))
+            if x is None:
+                return
+            for i, (w, b) in enumerate(layers):
+                # a row slice of a buffer or of out is contiguous, so
+                # np.matmul calls the BLAS kernel that x @ w.T does, with
+                # the same bits
+                y = bufs[k, i % 2, :len(x)] if i < len(layers) - 1 else dst
+                np.matmul(x, w.T, out=y)
+                _bias_lru(y, b, works[k])
+                x = y
+
+    pmap(run, range(workers), workers)
     return out
 
 

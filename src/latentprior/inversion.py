@@ -363,11 +363,11 @@ def invert(target_image, bundle: GeneratorBundle, model: GaussianModel,
     t = int(result.diverged_at[0])
     if t == result.iterations_run:
         raise NumericalFailure("inversion diverged in its last step (loss="
-                               f"{float(result.final_image_errors[0])})", iteration=t)
+                               f"{float(result.final_image_errors[0])})")
     if t >= 0:
         raise NumericalFailure(f"inversion diverged at iteration {t} "
                                f"(loss={float(result.loss_trace[0, t])}, "
-                               f"prior={float(result.prior_trace[0, t])})", iteration=t)
+                               f"prior={float(result.prior_trace[0, t])})")
     return result
 
 

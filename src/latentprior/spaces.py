@@ -30,18 +30,20 @@ SLOPE_W_TO_V = 5.0
 SLOPE_V_TO_W = 0.2
 
 
-def lru(x, slope: float, out=None) -> np.ndarray:
+def lru(x, slope: float, out=None, work=None) -> np.ndarray:
     """Elementwise leaky ReLU: x where x >= 0, slope * x otherwise.
 
     The larger of x and slope * x for slope < 1, the smaller for slope > 1:
     the bits of np.where(x >= 0, x, slope * x), NaN and signed zeros
-    included. ``out`` (float64, may be x) takes the result in place.
+    included. ``out`` (float64, may be x) takes the result in place;
+    ``work`` (float64, x's shape) takes slope * x in place of a new
+    temporary.
     """
     if slope <= 0:
         raise ValueError(f"slope must be positive, got {slope}")
     arr = np.asarray(x, dtype=np.float64)
     pick = np.maximum if slope < 1 else np.minimum
-    return pick(arr, slope * arr, out=out)
+    return pick(arr, np.multiply(arr, slope, out=work), out=out)
 
 
 def lru_deriv(x, slope: float) -> np.ndarray:

@@ -902,6 +902,14 @@ class TestThreads:
                 "--learning-rate", 0.05, "--seed", 0]
         assert self.outputs_at(ws, tmp_path, 4, *argv) == \
             self.outputs_at(ws, tmp_path, 1, *argv)
+        # 5000 samples map as 9 blocks, so 8 workers each get one or two
+        models = set()
+        for threads in (1, 2, 8):
+            out = tmp_path / f"fit-{threads}"
+            assert run("fit-prior", "--bundle", ws["bundle"], "--samples", 5000,
+                       "--threads", threads, "--out", out) == 0
+            models.add((out / "model.json").read_bytes())
+        assert len(models) == 1
 
     def test_tradeoff_pool_does_not_change_results(self, ws, tmp_path):
         argv = ["fid-tradeoff", "--psis", "0.9,0.7,0.5", "--samples", 48,
@@ -909,11 +917,12 @@ class TestThreads:
         assert self.outputs_at(ws, tmp_path, 2, *argv) == \
             self.outputs_at(ws, tmp_path, 1, *argv)
 
-    def test_only_fid_tradeoff_starts_a_pool(self, ws, tmp_path, monkeypatch):
+    def test_pools_start_only_for_tradeoff_points_and_blocked_mappings(
+            self, ws, tmp_path, monkeypatch):
         def no_pool(*args, **kwargs):
             raise PoolStarted
 
-        # _pmap imports the pool class when it starts one
+        # pmap imports the pool class when it starts one
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         bundle, model = bundle_from_json(read(ws["bundle"])), load_model(ws["model"])
         config = evaluation.InterpolationConfig(
@@ -924,6 +933,16 @@ class TestThreads:
                    "--model", ws["model"], "--grid", "0,1e-4", "--images", 3,
                    "--pairs", 2, "--iters", 2, "--threads", 8,
                    "--out", tmp_path / "sweep") == 0
+        assert run("invert", "--bundle", ws["bundle"], "--model", ws["model"],
+                   "--target", ws["target"], "--iterations", 2, "--threads", 8,
+                   "--out", tmp_path / "inv") == 0
+        fit = ("fit-prior", "--bundle", ws["bundle"], "--samples", 2048, "--out")
+        assert run(*fit, tmp_path / "fit-1", "--threads", 1) == 0
+        # fewer than 2 * MAP_BLOCK_ROWS samples are one block
+        assert run("fit-prior", "--bundle", ws["bundle"], "--samples", 1023,
+                   "--threads", 8, "--out", tmp_path / "fit-one-block") == 0
+        with pytest.raises(PoolStarted):
+            run(*fit, tmp_path / "fit-2", "--threads", 2)
         tradeoff = evaluation.TradeoffConfig(psis=(0.9, 0.7), n_samples=32,
                                              n_identity=8, max_bisect=2)
         with pytest.raises(PoolStarted):

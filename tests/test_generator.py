@@ -221,6 +221,14 @@ class TestBlockedMapping:
         monkeypatch.setattr(generator, "MAP_BLOCK_ROWS", 4096)
         assert got.tobytes() == generator.map_latents(bundle, zs).tobytes()
 
+    @pytest.mark.parametrize("n", [511, 512, 1023, 1024, 1025, 1536, 5000])
+    def test_workers_keep_the_bits_of_the_inline_pass(self, bundle, n):
+        # from one block, where 8 workers exceed the blocks, to nine blocks
+        zs = generator.sample_z(np.random.default_rng(n), n, bundle.dims.latent_dim)
+        inline = generator.map_latents(bundle, zs).tobytes()
+        for threads in (1, 2, 3, 8):
+            assert generator.map_latents(bundle, zs, threads).tobytes() == inline
+
     def test_peak_allocation_stays_under_four_block_buffers(self, bundle):
         n = 20000
         zs = generator.sample_z(np.random.default_rng(7), n, bundle.dims.latent_dim)
@@ -236,6 +244,22 @@ class TestBlockedMapping:
         block = len(generator._row_blocks(zs)[0]) * row
         assert block <= 2 * 2**20 + row  # a core's 2 MiB L2, to one row
         assert peak < zs.nbytes + 4 * block
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_workers_allocate_nothing(self, bundle, threads):
+        zs = generator.sample_z(np.random.default_rng(7), 20000, bundle.dims.latent_dim)
+        tracemalloc.start()
+        try:
+            generator.map_latents(bundle, zs, threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output and each worker's two block buffers and chunk buffer;
+        # a temporary of a block in a worker would exceed the half-block
+        # margin, which covers the pool's own Python objects
+        block = len(generator._row_blocks(zs)[0]) * bundle.dims.hidden_dim * 8
+        buffers = threads * (2 * block + generator.MAP_CHUNK_BYTES)
+        assert peak < zs.nbytes + buffers + block // 2
 
 
 class TestSynthesis:

@@ -394,10 +394,8 @@ class TestInvert:
                 target_space=SPACE_W, prior_weight=weight, learning_rate=lr,
                 iterations=10, noise_initial_std=0.0,
             )
-            with pytest.raises(NumericalFailure) as exc:
+            with pytest.raises(NumericalFailure, match=r"diverged at iteration [1-9]"):
                 invert(image, bundle, fitted_model, cfg)
-            assert exc.value.iteration is not None
-            assert exc.value.iteration >= 1
 
     @pytest.mark.parametrize("weight", [0.0, 1e-4])
     def test_divergence_in_the_last_step_raises(self, bundle, fitted_model, target,
@@ -409,7 +407,6 @@ class TestInvert:
         with pytest.raises(NumericalFailure) as exc:
             invert(image, bundle, fitted_model, cfg)
         assert str(exc.value) == "inversion diverged in its last step (loss=nan)"
-        assert exc.value.iteration == 1
 
     def test_target_shape_rejected(self, bundle, fitted_model):
         cfg = InversionConfig(target_space=SPACE_W, iterations=1)
@@ -595,7 +592,6 @@ class TestInvertBatch:
             invert(pool[0], bundle, fitted_model, cfg)
         assert str(exc.value) == \
             "inversion diverged at iteration 1 (loss=nan, prior=nan)"
-        assert exc.value.iteration == 1
 
     def test_arguments_checked(self, bundle, fitted_model, pool):
         cfg = InversionConfig(target_space=SPACE_W, iterations=1)

@@ -7,7 +7,8 @@ from it for the benchmark's workloads.
 
 Importing the CLI loads only what every command needs: scipy, and the
 concurrent.futures and logging that a thread pool brings, wait until a
-caller asks for them.
+caller asks for them. It also sets BLAS to one thread, before numpy
+loads, unless the user set the thread count.
 """
 
 import ast
@@ -62,11 +63,27 @@ def test_the_import_reader_sees_every_form_of_import():
     assert "math" in outside and {"formats", "features"} <= inside
 
 
-def test_importing_the_cli_loads_no_scipy_thread_pool_or_logging():
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _fresh_import_cli(code: str, **env) -> str:
+    """Stdout of a fresh interpreter that imports the CLI, then runs code,
+    with the BLAS thread variables unset unless given."""
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, latentprior.cli; print(*sys.modules)"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, "-c", f"import os, sys, latentprior.cli; {code}"],
+        capture_output=True, text=True, env={**base, "PYTHONPATH": path, **env},
         check=True, timeout=120)
-    loaded = set(proc.stdout.split()) & {"scipy", "concurrent.futures", "logging"}
-    assert loaded == set()
+    return proc.stdout
+
+
+def test_importing_the_cli_loads_no_scipy_thread_pool_or_logging():
+    loaded = set(_fresh_import_cli("print(*sys.modules)").split())
+    assert loaded & {"scipy", "concurrent.futures", "logging"} == set()
+
+
+def test_importing_the_cli_runs_blas_on_one_thread_unless_the_user_set_it():
+    show = f"print(*(os.environ[v] for v in {BLAS_THREAD_VARS}))"
+    assert _fresh_import_cli(show).split() == ["1", "1", "1"]
+    assert _fresh_import_cli(show, OPENBLAS_NUM_THREADS="3").split() == ["3", "1", "1"]
